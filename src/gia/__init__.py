@@ -16,14 +16,12 @@ from .aligner import (
     lift_transceivers,
     normalized_interference_db,
     receiver_update,
-    residual_f,
     run_classical_baseline,
     run_gia,
     transmitter_update,
     verify_solution,
 )
 from .feasibility import (
-    AlignmentTooLargeError,
     CoefficientMatrix,
     FeasibilityReport,
     build_coefficient_matrix,

@@ -26,6 +26,7 @@ from .network import (
     Channel,
     NetworkConfig,
     TransceiverSet,
+    _check_seed,
     canonical_alignment,
     check_channel,
     validate_config,
@@ -43,7 +44,6 @@ __all__ = [
     "hv_blocks",
     "uh_blocks",
     "residual_matrix",
-    "residual_f",
     "residual_vector",
     "leakage",
     "receiver_update",
@@ -156,28 +156,6 @@ def residual_matrix(cfg: NetworkConfig, channel: Channel, rt: ReducedTransceiver
     dk, dj = cfg.d[k - 1], cfg.d[j - 1]
     B, A = hv_blocks(channel[(k, j)], dk, dj, rt.V[j - 1])
     return B + rt.U[k - 1].conj().T @ A
-
-
-def residual_f(cfg: NetworkConfig, alignment, channel: Channel,
-               rt: ReducedTransceivers) -> dict[tuple[int, int, int, int], complex]:
-    """Zero-forcing residuals, one complex entry per constraint.
-
-    Keys are ``(k, j, p, q)`` with 1-based stream indices ``p <= d_k``,
-    ``q <= d_j``; the value is entry ``(p, q)`` of ``U_k^H H_kj V_j`` after
-    lifting.  All entries vanish iff interference is fully canceled on the
-    alignment set.
-    """
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
-    _check_point(cfg, rt)
-    out: dict[tuple[int, int, int, int], complex] = {}
-    for k, j in pairs:
-        G = residual_matrix(cfg, channel, rt, k, j)
-        dk, dj = cfg.d[k - 1], cfg.d[j - 1]
-        for p in range(1, dk + 1):
-            for q in range(1, dj + 1):
-                out[(k, j, p, q)] = complex(G[p - 1, q - 1])
-    return out
 
 
 def residual_vector(cfg: NetworkConfig, alignment, channel: Channel,
@@ -389,7 +367,7 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
     """
     pairs = canonical_alignment(cfg, alignment)
     check_channel(cfg, channel)
-    rng = np.random.default_rng(np.random.SeedSequence([_nonneg_seed(seed)]))
+    rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed)]))
     start = zero_reduced(cfg)
     V0 = tuple(
         _complex_normal(rng, (cfg.M[j - 1] - cfg.d[j - 1], cfg.d[j - 1]))
@@ -412,13 +390,6 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
         max_iters=max_iters, leak_tol=leak_tol, target_db=target_db,
         norm_db_of=norm_db,
     )
-
-
-def _nonneg_seed(seed) -> int:
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    return seed
 
 
 def _full_leakage(cfg, pairs, channel, U, V) -> float:
@@ -445,7 +416,7 @@ def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
     check_channel(cfg, channel)
     by_rx = _pairs_by_rx(pairs)
     by_tx = _pairs_by_tx(pairs)
-    rng = np.random.default_rng(np.random.SeedSequence([_nonneg_seed(seed)]))
+    rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed)]))
     U0 = tuple(
         np.eye(cfg.N[k - 1], cfg.d[k - 1], dtype=np.complex128)
         for k in range(1, cfg.K + 1)

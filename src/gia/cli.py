@@ -5,7 +5,7 @@ Subcommands: ``feasibility`` (verdict for a config file), ``design``
 convergence trials), ``fig6`` (paired traces on the benchmark
 configurations), ``sweep`` (feasibility across seeds and scalings).
 
-Exit codes: 0 success / feasible, 1 negative result, 2 usage or parse error.
+Exit codes: 0 success / feasible, 1 negative result, 2 usage, parse or I/O error.
 All output is deterministic given the flags and seed.
 """
 
@@ -30,7 +30,7 @@ from .harness import (
     sweep_feasibility,
     write_trial_csv,
 )
-from .network import ConfigError, TransceiverSet, generate_channel, load_config
+from .network import ConfigError, TransceiverSet, _check_seed, generate_channel, load_config
 
 __all__ = ["main"]
 
@@ -53,6 +53,29 @@ def dump_transceivers(path, ts: TransceiverSet) -> None:
         lines.append(f"V {j} {v.shape[0]} {v.shape[1]}")
         lines.extend(" ".join(format_complex(z) for z in row) for row in v)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _seed(text: str) -> int:
+    """argparse type: one seed, an unsigned 64-bit integer."""
+    try:
+        return _check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an unsigned 64-bit integer seed") from None
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated seeds."""
+    return tuple(_seed(item) for item in text.split(","))
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers."""
+    try:
+        return tuple(int(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
 
 
 def _load(path, seed_flag):
@@ -125,9 +148,8 @@ def _cmd_fig6(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, pairs, _ = _load(args.config, args.seed)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    scales = tuple(int(s) for s in args.scales.split(","))
-    rows = sweep_feasibility([cfg], alignment=None, channel_seeds=seeds, scales=scales)
+    rows = sweep_feasibility([cfg], alignment=None, channel_seeds=args.seeds,
+                             scales=args.scales)
     lines = ["member,scale,seed,feasible,method,C,V,rank"]
     lines.extend(
         f"{r['member']},{r['scale']},{r['seed']},"
@@ -153,14 +175,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasibility", help="decide feasibility for a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_feasibility)
 
     p = sub.add_parser("design", help="design transceivers and verify the solution")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="trace CSV path")
     p.add_argument("--solution", default=None, help="solution dump path (default: <out>.solution.txt)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--budget", type=int, default=5000, help="maximum rounds")
     p.add_argument("--tol", type=float, default=1e-6, help="verification residual tolerance")
     p.add_argument("--leak-tol", type=float, default=1e-12, dest="leak_tol",
@@ -172,14 +194,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test1", help="randomized convergence trials on sampled networks")
     p.add_argument("-n", "--trials", type=int, required=True)
     p.add_argument("--algorithm", choices=("gia", "classical"), default="gia")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--budget", type=int, default=5000)
     p.add_argument("--out", default=None, help="trial CSV path")
     p.set_defaults(func=_cmd_test1)
 
     p = sub.add_parser("fig6", help="paired convergence traces on a benchmark configuration")
     p.add_argument("--id", type=int, choices=sorted(BENCHMARK_CONFIGS), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rounds", type=int, default=5000)
     p.add_argument("--stop-db", type=float, default=None, dest="stop_db",
                    help="optional early stop once both traces pass this level")
@@ -188,10 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="feasibility across channel seeds and scalings")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9",
+    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seeds", type=_seeds, default="0,1,2,3,4,5,6,7,8,9",
                    help="comma-separated channel seeds")
-    p.add_argument("--scales", default="1,2", help="comma-separated scale factors")
+    p.add_argument("--scales", type=_ints, default="1,2", help="comma-separated scale factors")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
     return parser
@@ -204,10 +226,7 @@ def main(argv=None) -> int:
         parser.error("test1 requires at least one trial")
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,37 +11,39 @@ is solvable for almost every channel iff this matrix has full row rank, so a
 single random channel realization decides feasibility for the whole
 configuration/alignment-set class.
 
+The coefficient matrix is the Jacobian of the residuals at the all-zero
+point, so one assembly serves both.
+
 Besides the generic rank test this module implements the cheap necessary
 counting condition (properness) and two closed-form special cases (symmetric
 and stream-divisible configurations) that bypass the rank computation when
-they apply.
+they apply.  Properness and the subset condition of the divisible formula
+quantify over every subset of the alignment set; each is decided by one
+max-flow/min-cut computation, whose minimum cut names a violating subset.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aligner import ReducedTransceivers, hv_blocks, random_reduced, uh_blocks
+from .aligner import ReducedTransceivers, hv_blocks, random_reduced, uh_blocks, zero_reduced
 from .linalg import DEFAULT_REL_TOL, numerical_rank
 from .network import (
     Channel,
     NetworkConfig,
     Pair,
+    _check_seed,
     canonical_alignment,
     check_channel,
     generate_channel,
-    validate_config,
 )
 
 __all__ = [
-    "AlignmentTooLargeError",
-    "SUBSET_CAP",
     "CoefficientMatrix",
     "FeasibilityReport",
-    "decoder_coeff_block",
-    "precoder_coeff_block",
     "build_coefficient_matrix",
     "check_proper",
     "check_symmetric_formula",
@@ -50,14 +52,6 @@ __all__ = [
     "build_jacobian",
     "independence_probe",
 ]
-
-#: Largest alignment set for which the exhaustive subset conditions are evaluated.
-SUBSET_CAP = 20
-
-
-class AlignmentTooLargeError(ValueError):
-    """Subset-based check refused: 2^|A| subsets would explode. Use the rank test."""
-
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
@@ -107,40 +101,6 @@ class FeasibilityReport:
         )
 
 
-def _check_cross_pair(cfg: NetworkConfig, k: int, j: int) -> None:
-    if not (1 <= k <= cfg.K and 1 <= j <= cfg.n_tx and k != j):
-        raise IndexError(f"({k},{j}) is not a valid cross pair for this configuration")
-
-
-def decoder_coeff_block(cfg: NetworkConfig, channel: Channel, k: int, j: int) -> np.ndarray:
-    """Coefficient block of pair ``(k, j)`` w.r.t. receiver ``k``'s free variables.
-
-    Block diagonal with ``d_k`` copies of the ``d_j x (N_k - d_k)`` matrix
-    whose ``(q, p)`` entry is ``H_kj[d_k + p, q]`` (1-based); shape
-    ``d_k d_j x d_k (N_k - d_k)``.
-    """
-    validate_config(cfg)
-    _check_cross_pair(cfg, k, j)
-    dk, dj = cfg.d[k - 1], cfg.d[j - 1]
-    S = channel[(k, j)][dk:, :dj].T
-    return np.kron(np.eye(dk), S)
-
-
-def precoder_coeff_block(cfg: NetworkConfig, channel: Channel, k: int, j: int) -> np.ndarray:
-    """Coefficient block of pair ``(k, j)`` w.r.t. transmitter ``j``'s free variables.
-
-    Row block ``p`` (one per stream of receiver ``k``) is block diagonal
-    with ``d_j`` copies of the row ``H_kj[p, d_j+1 : M_j]`` (1-based); shape
-    ``d_k d_j x d_j (M_j - d_j)``.
-    """
-    validate_config(cfg)
-    _check_cross_pair(cfg, k, j)
-    dk, dj = cfg.d[k - 1], cfg.d[j - 1]
-    Hkj = channel[(k, j)]
-    eye = np.eye(dj)
-    return np.vstack([np.kron(eye, Hkj[p : p + 1, dj:]) for p in range(dk)])
-
-
 def _layout(cfg: NetworkConfig, pairs) -> tuple[dict[Pair, int], dict[tuple[str, int], int], int, int]:
     col_index: dict[tuple[str, int], int] = {}
     off = 0
@@ -173,16 +133,34 @@ def _assemble(cfg: NetworkConfig, pairs, u_block, v_block) -> CoefficientMatrix:
     return CoefficientMatrix(mat, row_index, col_index)
 
 
+def _jacobian(cfg: NetworkConfig, pairs, channel: Channel,
+              point: ReducedTransceivers) -> CoefficientMatrix:
+    def u_block(k, j):
+        dk, dj = cfg.d[k - 1], cfg.d[j - 1]
+        _, A = hv_blocks(channel[(k, j)], dk, dj, point.V[j - 1])
+        return np.kron(np.eye(dk), A.T)
+
+    def v_block(k, j):
+        dk, dj = cfg.d[k - 1], cfg.d[j - 1]
+        _, C = uh_blocks(channel[(k, j)], dk, dj, point.U[k - 1])
+        eye = np.eye(dj)
+        return np.vstack([np.kron(eye, C[p : p + 1, :]) for p in range(dk)])
+
+    return _assemble(cfg, pairs, u_block, v_block)
+
+
 def build_coefficient_matrix(cfg: NetworkConfig, alignment, channel: Channel) -> CoefficientMatrix:
-    """Assemble the full first-order coefficient matrix for an alignment set."""
+    """Assemble the full first-order coefficient matrix for an alignment set.
+
+    This is the Jacobian of the residuals at the all-zero point: the block of
+    pair ``(k, j)`` w.r.t. receiver ``k`` is block diagonal with ``d_k``
+    copies of ``H_kj[d_k:, :d_j].T``, and its row block ``p`` w.r.t.
+    transmitter ``j`` is block diagonal with ``d_j`` copies of the row
+    ``H_kj[p, d_j:]``.
+    """
     pairs = canonical_alignment(cfg, alignment)
     check_channel(cfg, channel)
-    return _assemble(
-        cfg,
-        pairs,
-        lambda k, j: decoder_coeff_block(cfg, channel, k, j),
-        lambda k, j: precoder_coeff_block(cfg, channel, k, j),
-    )
+    return _jacobian(cfg, pairs, channel, zero_reduced(cfg))
 
 
 def build_jacobian(cfg: NetworkConfig, alignment, channel: Channel,
@@ -196,83 +174,86 @@ def build_jacobian(cfg: NetworkConfig, alignment, channel: Channel,
     """
     pairs = canonical_alignment(cfg, alignment)
     check_channel(cfg, channel)
-
-    def u_block(k, j):
-        dk, dj = cfg.d[k - 1], cfg.d[j - 1]
-        _, A = hv_blocks(channel[(k, j)], dk, dj, point.V[j - 1])
-        return np.kron(np.eye(dk), A.T)
-
-    def v_block(k, j):
-        dk, dj = cfg.d[k - 1], cfg.d[j - 1]
-        _, C = uh_blocks(channel[(k, j)], dk, dj, point.U[k - 1])
-        eye = np.eye(dj)
-        return np.vstack([np.kron(eye, C[p : p + 1, :]) for p in range(dk)])
-
-    return _assemble(cfg, pairs, u_block, v_block).matrix
+    return _jacobian(cfg, pairs, channel, point).matrix
 
 
-def _doubling_tables(values: list[int]) -> np.ndarray:
-    """Subset-sum table over all 2^len(values) bitmasks, built by doubling."""
-    table = np.zeros(1, dtype=np.int64)
-    for v in values:
-        table = np.concatenate([table, table + v])
-    return table
+def _covered(pairs, demand: list[int], rx_cap: dict[int, int], tx_cap: dict[int, int]):
+    """Decide ``sum demand(S) <= sum cap(nodes touched by S)`` for every subset S of ``pairs``.
 
+    One max-flow: source -> pair (capacity ``demand``) -> its receiver and
+    transmitter node (uncapped) -> sink (capacity ``rx_cap`` / ``tx_cap``).
+    The condition holds iff the flow saturates the source; otherwise the
+    pairs left reachable from the source by the last search form the source
+    side of a minimum cut, and that subset violates the condition.
 
-def _subset_counting_check(pairs, rx_val: dict[int, int], tx_val: dict[int, int],
-                           pair_cost: list[int], cap: int):
-    """Check ``sum rx_val(distinct k) + sum tx_val(distinct j) >= sum pair_cost``
-    over every nonempty subset of ``pairs``.  Returns (ok, violating subset or None).
+    Returns (ok, violating subset or None).
     """
     n = len(pairs)
-    if n == 0:
+    rx_node = {k: n + 1 + i for i, k in enumerate(rx_cap)}
+    tx_node = {j: n + 1 + len(rx_cap) + i for i, j in enumerate(tx_cap)}
+    sink = n + 1 + len(rx_cap) + len(tx_cap)
+    residual: list[dict[int, int]] = [{} for _ in range(sink + 1)]
+
+    def edge(a, b, cap):
+        residual[a][b] = cap
+        residual[b].setdefault(a, 0)
+
+    total = sum(demand)
+    uncapped = total + 1
+    for i, (k, j) in enumerate(pairs, start=1):
+        edge(0, i, demand[i - 1])
+        edge(i, rx_node[k], uncapped)
+        edge(i, tx_node[j], uncapped)
+    for k, node in rx_node.items():
+        edge(node, sink, rx_cap[k])
+    for j, node in tx_node.items():
+        edge(node, sink, tx_cap[j])
+
+    flow = 0
+    while True:  # Edmonds-Karp: augment along shortest residual paths
+        parent = {0: 0}
+        queue = deque([0])
+        while queue and sink not in parent:
+            a = queue.popleft()
+            for b, cap in residual[a].items():
+                if cap > 0 and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if sink not in parent:
+            break
+        path = []
+        b = sink
+        while b != 0:
+            path.append((parent[b], b))
+            b = parent[b]
+        push = min(residual[a][b] for a, b in path)
+        for a, b in path:
+            residual[a][b] -= push
+            residual[b][a] += push
+        flow += push
+    if flow == total:
         return True, None
-    if n > cap:
-        raise AlignmentTooLargeError(
-            f"alignment set has {n} pairs; subset conditions are only evaluated up "
-            f"to {cap} pairs - use the rank test instead"
-        )
-    rxs = sorted({k for k, _ in pairs})
-    txs = sorted({j for _, j in pairs})
-    rx_pos = {k: i for i, k in enumerate(rxs)}
-    tx_pos = {j: i for i, j in enumerate(txs)}
-
-    rx_table = _doubling_tables([rx_val[k] for k in rxs])
-    tx_table = _doubling_tables([tx_val[j] for j in txs])
-
-    rmask = np.zeros(1, dtype=np.int64)
-    tmask = np.zeros(1, dtype=np.int64)
-    cost = np.zeros(1, dtype=np.int64)
-    for i, (k, j) in enumerate(pairs):
-        rmask = np.concatenate([rmask, rmask | (1 << rx_pos[k])])
-        tmask = np.concatenate([tmask, tmask | (1 << tx_pos[j])])
-        cost = np.concatenate([cost, cost + pair_cost[i]])
-
-    ok = rx_table[rmask] + tx_table[tmask] >= cost
-    if ok.all():
-        return True, None
-    first_bad = int(np.flatnonzero(~ok)[0])
-    violating = tuple(p for i, p in enumerate(pairs) if (first_bad >> i) & 1)
-    return False, violating
+    return False, tuple(p for i, p in enumerate(pairs, start=1) if i in parent)
 
 
-def check_proper(cfg: NetworkConfig, alignment, cap: int = SUBSET_CAP):
+def check_proper(cfg: NetworkConfig, alignment):
     """Necessary counting condition: free variables must cover constraints on every subset.
 
     For each nonempty subset of the alignment set, the free-variable count of
     the involved nodes must be at least the constraint count,
     ``sum d_j (M_j - d_j) + sum d_k (N_k - d_k) >= sum d_k d_j``.
+    All subsets are decided by one max-flow, in polynomial time.
 
     Returns
     -------
     (bool, tuple of pairs or None)
-        Verdict plus one violating subset when improper.
+        Verdict plus one violating subset (a minimum-cut side) when improper.
     """
     pairs = canonical_alignment(cfg, alignment)
     rx_val = {k: cfg.d[k - 1] * (cfg.N[k - 1] - cfg.d[k - 1]) for k, _ in pairs}
     tx_val = {j: cfg.d[j - 1] * (cfg.M[j - 1] - cfg.d[j - 1]) for _, j in pairs}
-    pair_cost = [cfg.d[k - 1] * cfg.d[j - 1] for k, j in pairs]
-    return _subset_counting_check(pairs, rx_val, tx_val, pair_cost, cap)
+    demand = [cfg.d[k - 1] * cfg.d[j - 1] for k, j in pairs]
+    return _covered(pairs, demand, rx_val, tx_val)
 
 
 def check_symmetric_formula(cfg: NetworkConfig, alignment):
@@ -315,13 +296,14 @@ def check_symmetric_formula(cfg: NetworkConfig, alignment):
     return True, M + N - (L + 2) * d >= 0
 
 
-def check_divisible_formula(cfg: NetworkConfig, alignment, cap: int = SUBSET_CAP):
+def check_divisible_formula(cfg: NetworkConfig, alignment):
     """Closed-form verdict when all stream counts are equal and divide one antenna side.
 
     Applicable when ``d_k = d`` for every node and either ``d | N_k`` for all
     receivers or ``d | M_j`` for all transmitters.  Then the problem is
     feasible iff, for every subset of the alignment set,
-    ``sum (M_j - d) + sum (N_k - d) >= d * |subset|`` over the involved nodes.
+    ``sum (M_j - d) + sum (N_k - d) >= d * |subset|`` over the involved nodes,
+    which is decided by the same max-flow as :func:`check_proper`.
 
     Returns
     -------
@@ -337,8 +319,7 @@ def check_divisible_formula(cfg: NetworkConfig, alignment, cap: int = SUBSET_CAP
         return False, None
     rx_val = {k: cfg.N[k - 1] - d for k, _ in pairs}
     tx_val = {j: cfg.M[j - 1] - d for _, j in pairs}
-    pair_cost = [d] * len(pairs)
-    ok, _ = _subset_counting_check(pairs, rx_val, tx_val, pair_cost, cap)
+    ok, _ = _covered(pairs, [d] * len(pairs), rx_val, tx_val)
     return True, ok
 
 
@@ -363,28 +344,24 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     formula - and the generic rank test of the coefficient matrix decides
     the rest.  Because the verdict depends only on the configuration and
     alignment set (not the channel draw), a single random channel is
-    generated from ``seed`` when none is supplied.
+    generated from ``seed`` when none is supplied; the seed is validated
+    even when a fast path decides.
     """
+    seed = _check_seed(seed)
     pairs = canonical_alignment(cfg, alignment)
     _, _, n_constraints, n_variables = _layout(cfg, pairs)
 
-    try:
-        proper, _ = check_proper(cfg, pairs)
-        if not proper:
-            return FeasibilityReport(False, n_constraints, n_variables, -1, "proper_fail", 0.0)
-    except AlignmentTooLargeError:
-        pass
+    proper, _ = check_proper(cfg, pairs)
+    if not proper:
+        return FeasibilityReport(False, n_constraints, n_variables, -1, "proper_fail", 0.0)
 
     applicable, feasible = check_symmetric_formula(cfg, pairs)
     if applicable:
         return FeasibilityReport(feasible, n_constraints, n_variables, -1, "symmetric_formula", 0.0)
 
-    try:
-        applicable, feasible = check_divisible_formula(cfg, pairs)
-        if applicable:
-            return FeasibilityReport(feasible, n_constraints, n_variables, -1, "divisible_formula", 0.0)
-    except AlignmentTooLargeError:
-        pass
+    applicable, feasible = check_divisible_formula(cfg, pairs)
+    if applicable:
+        return FeasibilityReport(feasible, n_constraints, n_variables, -1, "divisible_formula", 0.0)
 
     if channel is None:
         channel = generate_channel(cfg, seed)

@@ -12,7 +12,6 @@ from gia.aligner import (
     normalized_interference_db,
     random_reduced,
     receiver_update,
-    residual_f,
     residual_matrix,
     residual_vector,
     run_classical_baseline,
@@ -57,12 +56,28 @@ class TestLift:
             np.testing.assert_array_equal(ts.U[k][dk:], rt.U[k])
 
 
+def residual_entries(cfg, pairs, channel, rt):
+    """``(k, j, p, q) -> residual``, read from :func:`residual_vector` at offset
+    ``(p-1) d_j + (q-1)`` inside the block of pair ``(k, j)``."""
+    vec = residual_vector(cfg, pairs, channel, rt)
+    out = {}
+    start = 0
+    for k, j in pairs:
+        dk, dj = cfg.d[k - 1], cfg.d[j - 1]
+        for p in range(1, dk + 1):
+            for q in range(1, dj + 1):
+                out[(k, j, p, q)] = vec[start + (p - 1) * dj + (q - 1)]
+        start += dk * dj
+    assert start == vec.shape[0]
+    return out
+
+
 class TestResiduals:
     def test_zero_point_gives_channel_entries(self):
         cfg = CONFIG_SYM
         pairs = alignment_all(cfg)
         channel = generate_channel(cfg, 1)
-        res = residual_f(cfg, pairs, channel, zero_reduced(cfg))
+        res = residual_entries(cfg, pairs, channel, zero_reduced(cfg))
         for (k, j, p, q), value in res.items():
             assert value == channel[(k, j)][p - 1, q - 1]
 
@@ -70,7 +85,7 @@ class TestResiduals:
         cfg = CONFIG_SYM
         pairs = alignment_all(cfg)
         channel = zero_cross_channel(cfg)
-        res = residual_f(cfg, pairs, channel, random_reduced(cfg, 4))
+        res = residual_entries(cfg, pairs, channel, random_reduced(cfg, 4))
         assert all(v == 0 for v in res.values())
 
     def test_matches_lifted_product(self):
@@ -80,25 +95,24 @@ class TestResiduals:
         channel = generate_channel(cfg, 6)
         rt = random_reduced(cfg, 8)
         ts = lift_transceivers(rt)
-        res = residual_f(cfg, pairs, channel, rt)
+        res = residual_entries(cfg, pairs, channel, rt)
         for (k, j, p, q), value in res.items():
             direct = (ts.U[k - 1].conj().T @ channel[(k, j)] @ ts.V[j - 1])[p - 1, q - 1]
             assert abs(value - direct) <= 1e-12
 
-    def test_vector_order_matches_dict(self):
+    def test_vector_order_matches_residual_matrix(self):
         cfg = NetworkConfig(K=2, J=0, M=(3, 4), N=(4, 3), d=(2, 1))
         pairs = alignment_all(cfg)
         channel = generate_channel(cfg, 2)
         rt = random_reduced(cfg, 2)
         vec = residual_vector(cfg, pairs, channel, rt)
-        res = residual_f(cfg, pairs, channel, rt)
         flat = [
-            res[(k, j, p, q)]
+            residual_matrix(cfg, channel, rt, k, j)[p - 1, q - 1]
             for (k, j) in pairs
             for p in range(1, cfg.d[k - 1] + 1)
             for q in range(1, cfg.d[j - 1] + 1)
         ]
-        np.testing.assert_allclose(vec, np.array(flat))
+        np.testing.assert_array_equal(vec, np.array(flat))
 
 
 class TestLeakage:

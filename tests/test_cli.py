@@ -135,3 +135,28 @@ class TestSweepCommand:
         assert lines[0] == "member,scale,seed,feasible,method,C,V,rank"
         assert len(lines) == 5
         assert all(line.split(",")[3] == "true" for line in lines[1:])
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--config", "{cfg}", "--seeds", "a"],
+            ["sweep", "--config", "{cfg}", "--scales", "x"],
+            ["feasibility", "--config", "{dir}"],
+            ["feasibility", "--config", "{cfg}", "--seed", "-1"],
+            ["sweep", "--config", "{cfg}", "--seeds", "-1"],
+        ],
+        ids=["bad-seed-list", "bad-scale-list", "config-is-directory", "negative-seed",
+             "negative-seed-in-list"],
+    )
+    def test_exit_two_with_one_error_line(self, argv, sym_config_file, tmp_path, capsys):
+        argv = [arg.format(cfg=sym_config_file, dir=tmp_path) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1

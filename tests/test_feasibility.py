@@ -6,33 +6,35 @@ import pytest
 from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM, fd_jacobian, gauss_rank
 from gia.aligner import random_reduced, zero_reduced
 from gia.feasibility import (
-    AlignmentTooLargeError,
     build_coefficient_matrix,
     build_jacobian,
     check_divisible_formula,
     check_proper,
     check_symmetric_formula,
-    decoder_coeff_block,
     feasibility_check,
     independence_probe,
-    precoder_coeff_block,
 )
 from gia.linalg import numerical_rank
-from gia.network import NetworkConfig, alignment_all, generate_channel
+from gia.network import ConfigError, NetworkConfig, alignment_all, generate_channel
+
+
+def violates(cfg, sub):
+    """True when the subset ``sub`` alone has fewer free variables than constraints."""
+    rxs = {k for k, _ in sub}
+    txs = {j for _, j in sub}
+    free = sum(cfg.d[k - 1] * (cfg.N[k - 1] - cfg.d[k - 1]) for k in rxs)
+    free += sum(cfg.d[j - 1] * (cfg.M[j - 1] - cfg.d[j - 1]) for j in txs)
+    need = sum(cfg.d[k - 1] * cfg.d[j - 1] for k, j in sub)
+    return free < need
 
 
 def brute_force_proper(cfg, pairs):
-    """Independent subset check via itertools (no bitmask tricks)."""
-    for r in range(1, len(pairs) + 1):
-        for sub in itertools.combinations(pairs, r):
-            rxs = {k for k, _ in sub}
-            txs = {j for _, j in sub}
-            free = sum(cfg.d[k - 1] * (cfg.N[k - 1] - cfg.d[k - 1]) for k in rxs)
-            free += sum(cfg.d[j - 1] * (cfg.M[j - 1] - cfg.d[j - 1]) for j in txs)
-            need = sum(cfg.d[k - 1] * cfg.d[j - 1] for k, j in sub)
-            if free < need:
-                return False
-    return True
+    """Independent subset check via itertools (no flow, no bitmask tricks)."""
+    return not any(
+        violates(cfg, sub)
+        for r in range(1, len(pairs) + 1)
+        for sub in itertools.combinations(pairs, r)
+    )
 
 
 def brute_force_divisible(cfg, pairs):
@@ -52,18 +54,35 @@ def rank_feasible(cfg, pairs, channel):
     return numerical_rank(hall.matrix).rank == hall.n_constraints
 
 
+def random_alignment(rng, cfg, max_pairs=10):
+    """Random partial alignment set of at most ``max_pairs`` pairs (brute force stays cheap)."""
+    every = alignment_all(cfg)
+    size = int(rng.integers(0, min(len(every), max_pairs) + 1))
+    return tuple(every[i] for i in sorted(rng.choice(len(every), size=size, replace=False)))
+
+
+def coeff_block(cfg, channel, k, j, side):
+    """Rows of pair ``(k, j)`` in the coefficient matrix, restricted to the
+    column block of receiver ``k`` (``side="U"``) or transmitter ``j`` (``"V"``)."""
+    hall = build_coefficient_matrix(cfg, [(k, j)], channel)
+    node, antennas = (k, cfg.N) if side == "U" else (j, cfg.M)
+    c0 = hall.col_index[(side, node)]
+    width = cfg.d[node - 1] * (antennas[node - 1] - cfg.d[node - 1])
+    return hall.matrix[:, c0 : c0 + width]
+
+
 class TestCoefficientBlocks:
     def test_decoder_block_single_entry(self):
         cfg = NetworkConfig(K=2, J=0, M=(2, 2), N=(2, 2), d=(1, 1))
         channel = generate_channel(cfg, 3)
-        block = decoder_coeff_block(cfg, channel, 1, 2)
+        block = coeff_block(cfg, channel, 1, 2, "U")
         assert block.shape == (1, 1)
         assert block[0, 0] == channel[(1, 2)][1, 0]
 
     def test_decoder_block_no_free_rows(self):
         cfg = NetworkConfig(K=2, J=0, M=(4, 4), N=(2, 4), d=(2, 2))
         channel = generate_channel(cfg, 0)
-        assert decoder_coeff_block(cfg, channel, 1, 2).shape == (4, 0)
+        assert coeff_block(cfg, channel, 1, 2, "U").shape == (4, 0)
 
     def test_decoder_block_matches_linearization(self):
         # oracle: finite differences of the residual map at the zero point
@@ -73,20 +92,21 @@ class TestCoefficientBlocks:
         fd = fd_jacobian(cfg, pairs, channel, zero_reduced(cfg))
         hall = build_coefficient_matrix(cfg, pairs, channel)
         c0 = hall.col_index[("U", 1)]
-        block = decoder_coeff_block(cfg, channel, 1, 2)
+        block = coeff_block(cfg, channel, 1, 2, "U")
+        assert block.shape == (2, 2)
         np.testing.assert_allclose(fd[:, c0 : c0 + block.shape[1]], block, atol=1e-8)
 
     def test_precoder_block_single_entry(self):
         cfg = NetworkConfig(K=2, J=0, M=(2, 2), N=(2, 2), d=(1, 1))
         channel = generate_channel(cfg, 3)
-        block = precoder_coeff_block(cfg, channel, 1, 2)
+        block = coeff_block(cfg, channel, 1, 2, "V")
         assert block.shape == (1, 1)
         assert block[0, 0] == channel[(1, 2)][0, 1]
 
     def test_precoder_block_no_free_rows(self):
         cfg = NetworkConfig(K=2, J=0, M=(2, 2), N=(3, 3), d=(2, 2))
         channel = generate_channel(cfg, 0)
-        assert precoder_coeff_block(cfg, channel, 1, 2).shape == (4, 0)
+        assert coeff_block(cfg, channel, 1, 2, "V").shape == (4, 0)
 
     def test_precoder_block_matches_linearization(self):
         cfg = NetworkConfig(K=2, J=0, M=(3, 4), N=(2, 3), d=(1, 2))
@@ -95,16 +115,17 @@ class TestCoefficientBlocks:
         fd = fd_jacobian(cfg, pairs, channel, zero_reduced(cfg))
         hall = build_coefficient_matrix(cfg, pairs, channel)
         c0 = hall.col_index[("V", 2)]
-        block = precoder_coeff_block(cfg, channel, 1, 2)
+        block = coeff_block(cfg, channel, 1, 2, "V")
+        assert block.shape == (2, 4)
         np.testing.assert_allclose(fd[:, c0 : c0 + block.shape[1]], block, atol=1e-8)
 
     def test_invalid_pair_rejected(self):
         cfg = NetworkConfig(K=2, J=0, M=(2, 2), N=(2, 2), d=(1, 1))
         channel = generate_channel(cfg, 0)
-        with pytest.raises(IndexError):
-            decoder_coeff_block(cfg, channel, 1, 1)
-        with pytest.raises(IndexError):
-            precoder_coeff_block(cfg, channel, 2, 3)
+        with pytest.raises(ConfigError):
+            build_coefficient_matrix(cfg, [(1, 1)], channel)
+        with pytest.raises(ConfigError):
+            build_coefficient_matrix(cfg, [(2, 3)], channel)
 
 
 class TestCoefficientMatrix:
@@ -172,14 +193,24 @@ class TestCheckProper:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
-        for _ in range(40):
-            K = int(rng.integers(2, 4))
-            d = tuple(int(rng.integers(1, 3)) for _ in range(K))
-            M = tuple(int(rng.integers(dk, 5)) for dk in d)
-            N = tuple(int(rng.integers(dk, 5)) for dk in d)
-            cfg = NetworkConfig(K=K, J=0, M=M, N=N, d=d)
-            pairs = alignment_all(cfg)
-            assert check_proper(cfg, pairs)[0] == brute_force_proper(cfg, pairs)
+        improper = 0
+        for _ in range(120):
+            K = int(rng.integers(2, 5))
+            J = int(rng.integers(0, 3))
+            d = tuple(int(rng.integers(1, 3)) for _ in range(K + J))
+            M = tuple(int(rng.integers(dj, 5)) for dj in d)
+            N = tuple(int(rng.integers(dk, 5)) for dk in d[:K])
+            cfg = NetworkConfig(K=K, J=J, M=M, N=N, d=d)
+            pairs = random_alignment(rng, cfg)
+            ok, violating = check_proper(cfg, pairs)
+            assert ok == brute_force_proper(cfg, pairs)
+            if ok:
+                assert violating is None
+            else:
+                improper += 1
+                assert set(violating) <= set(pairs)
+                assert violates(cfg, violating)
+        assert improper > 0
 
     def test_violating_subset_actually_violates(self):
         cfg = NetworkConfig(K=3, J=0, M=(2, 1, 2), N=(1, 2, 2), d=(1, 1, 1))
@@ -187,10 +218,19 @@ class TestCheckProper:
         if not ok:
             assert not brute_force_proper(cfg, violating)
 
-    def test_cap_exceeded(self):
-        cfg = NetworkConfig(K=5, J=0, M=(6,) * 5, N=(6,) * 5, d=(1,) * 5)
-        with pytest.raises(AlignmentTooLargeError):
-            check_proper(cfg, alignment_all(cfg), cap=10)
+    def test_large_alignment_set_decided(self):
+        # 30 pairs, 2^30 subsets: only a polynomial check decides this
+        cfg = NetworkConfig(K=6, J=0, M=(4, 5, 6, 4, 5, 6), N=(6, 5, 4, 6, 5, 4),
+                            d=(1, 2, 1, 1, 2, 1))
+        pairs = alignment_all(cfg)
+        assert len(pairs) == 30
+        ok, violating = check_proper(cfg, pairs)
+        assert ok == (violating is None)
+        if not ok:
+            assert violates(cfg, violating)
+        channel = generate_channel(cfg, 5)
+        report = feasibility_check(cfg, pairs, channel)
+        assert report.feasible == rank_feasible(cfg, pairs, channel)
 
 
 class TestSymmetricFormula:
@@ -247,18 +287,20 @@ class TestDivisibleFormula:
 
     def test_matches_brute_force_when_applicable(self):
         rng = np.random.default_rng(21)
-        checked = 0
-        while checked < 25:
-            K = int(rng.integers(2, 4))
+        verdicts = set()
+        for _ in range(60):
+            K = int(rng.integers(2, 5))
+            J = int(rng.integers(0, 3))
             d = int(rng.integers(1, 3))
             N = tuple(int(d * rng.integers(1, 4)) for _ in range(K))
-            M = tuple(int(rng.integers(d, 7)) for _ in range(K))
-            cfg = NetworkConfig(K=K, J=0, M=M, N=N, d=(d,) * K)
-            pairs = alignment_all(cfg)
+            M = tuple(int(rng.integers(d, 7)) for _ in range(K + J))
+            cfg = NetworkConfig(K=K, J=J, M=M, N=N, d=(d,) * (K + J))
+            pairs = random_alignment(rng, cfg)
             applicable, verdict = check_divisible_formula(cfg, pairs)
             assert applicable
             assert verdict == brute_force_divisible(cfg, pairs)
-            checked += 1
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestFeasibilityCheck:
@@ -296,6 +338,11 @@ class TestFeasibilityCheck:
     def test_empty_alignment_feasible(self):
         report = feasibility_check(CONFIG_SYM, ())
         assert report.feasible
+
+    def test_negative_seed_rejected_before_fast_paths(self):
+        # the symmetric formula decides this network without drawing a channel
+        with pytest.raises(ValueError):
+            feasibility_check(CONFIG_SYM, alignment_all(CONFIG_SYM), seed=-1)
 
     def test_fast_paths_agree_with_rank_test(self):
         rng = np.random.default_rng(77)
