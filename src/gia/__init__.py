@@ -54,8 +54,10 @@ from .network import (
     ConfigParseError,
     NetworkConfig,
     Pair,
+    Problem,
     TransceiverSet,
     alignment_all,
+    free_shapes,
     generate_channel,
     load_config,
     save_config,

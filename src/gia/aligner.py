@@ -25,10 +25,10 @@ from .linalg import frobenius_norm_sq, numerical_rank, pseudo_inverse
 from .network import (
     Channel,
     NetworkConfig,
+    Problem,
     TransceiverSet,
     _check_seed,
-    canonical_alignment,
-    check_channel,
+    free_shapes,
     validate_config,
 )
 
@@ -81,15 +81,11 @@ class ReducedTransceivers:
 def zero_reduced(cfg: NetworkConfig) -> ReducedTransceivers:
     """All-zero reduced transceivers for ``cfg``."""
     validate_config(cfg)
-    U = tuple(
-        np.zeros((cfg.N[k - 1] - cfg.d[k - 1], cfg.d[k - 1]), dtype=np.complex128)
-        for k in range(1, cfg.K + 1)
+    rx, tx = free_shapes(cfg)
+    return ReducedTransceivers(
+        tuple(np.zeros(s, dtype=np.complex128) for s in rx),
+        tuple(np.zeros(s, dtype=np.complex128) for s in tx),
     )
-    V = tuple(
-        np.zeros((cfg.M[j - 1] - cfg.d[j - 1], cfg.d[j - 1]), dtype=np.complex128)
-        for j in range(1, cfg.n_tx + 1)
-    )
-    return ReducedTransceivers(U, V)
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -103,28 +99,19 @@ def random_reduced(cfg: NetworkConfig, seed) -> ReducedTransceivers:
     """
     validate_config(cfg)
     rng = np.random.default_rng(seed)
-    U = tuple(
-        _complex_normal(rng, (cfg.N[k - 1] - cfg.d[k - 1], cfg.d[k - 1]))
-        for k in range(1, cfg.K + 1)
-    )
-    V = tuple(
-        _complex_normal(rng, (cfg.M[j - 1] - cfg.d[j - 1], cfg.d[j - 1]))
-        for j in range(1, cfg.n_tx + 1)
-    )
-    return ReducedTransceivers(U, V)
+    rx, tx = free_shapes(cfg)
+    U = tuple(_complex_normal(rng, s) for s in rx)  # drawn before V: seeds pin this order
+    return ReducedTransceivers(U, tuple(_complex_normal(rng, s) for s in tx))
 
 
 def _check_point(cfg: NetworkConfig, rt: ReducedTransceivers) -> None:
-    if len(rt.U) != cfg.K or len(rt.V) != cfg.n_tx:
+    rx, tx = free_shapes(cfg)
+    if len(rt.U) != len(rx) or len(rt.V) != len(tx):
         raise ValueError("reduced transceivers do not match the configuration")
-    for k in range(1, cfg.K + 1):
-        want = (cfg.N[k - 1] - cfg.d[k - 1], cfg.d[k - 1])
-        if rt.U[k - 1].shape != want:
-            raise ValueError(f"reduced decoder {k} has shape {rt.U[k - 1].shape}, expected {want}")
-    for j in range(1, cfg.n_tx + 1):
-        want = (cfg.M[j - 1] - cfg.d[j - 1], cfg.d[j - 1])
-        if rt.V[j - 1].shape != want:
-            raise ValueError(f"reduced precoder {j} has shape {rt.V[j - 1].shape}, expected {want}")
+    for name, blocks, shapes in (("decoder", rt.U, rx), ("precoder", rt.V, tx)):
+        for node, (block, want) in enumerate(zip(blocks, shapes), start=1):
+            if block.shape != want:
+                raise ValueError(f"reduced {name} {node} has shape {block.shape}, expected {want}")
 
 
 def hv_blocks(Hkj: np.ndarray, dk: int, dj: int, Vt: np.ndarray):
@@ -150,16 +137,14 @@ def uh_blocks(Hkj: np.ndarray, dk: int, dj: int, Ut: np.ndarray):
     return D, C
 
 
-def residual_matrix(cfg: NetworkConfig, channel: Channel, rt: ReducedTransceivers,
-                    k: int, j: int) -> np.ndarray:
+def residual_matrix(problem: Problem, rt: ReducedTransceivers, k: int, j: int) -> np.ndarray:
     """The ``d_k x d_j`` post-processing matrix ``U_k^H H_kj V_j`` of the lifted transceivers."""
-    dk, dj = cfg.d[k - 1], cfg.d[j - 1]
-    B, A = hv_blocks(channel[(k, j)], dk, dj, rt.V[j - 1])
+    d = problem.cfg.d
+    B, A = hv_blocks(problem.channel[(k, j)], d[k - 1], d[j - 1], rt.V[j - 1])
     return B + rt.U[k - 1].conj().T @ A
 
 
-def residual_vector(cfg: NetworkConfig, alignment, channel: Channel,
-                    rt: ReducedTransceivers) -> np.ndarray:
+def residual_vector(problem: Problem, rt: ReducedTransceivers) -> np.ndarray:
     """All residuals stacked in canonical order.
 
     Pairs are taken lexicographically and the block for ``(k, j)`` is laid
@@ -167,42 +152,22 @@ def residual_vector(cfg: NetworkConfig, alignment, channel: Channel,
     ``(p-1) d_j + (q-1)``.  This matches the row order of the first-order
     coefficient matrix and of the Jacobian.
     """
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
-    _check_point(cfg, rt)
-    parts = [residual_matrix(cfg, channel, rt, k, j).reshape(-1) for k, j in pairs]
+    _check_point(problem.cfg, rt)
+    parts = [residual_matrix(problem, rt, k, j).reshape(-1) for k, j in problem.pairs]
     if not parts:
         return np.zeros(0, dtype=np.complex128)
     return np.concatenate(parts)
 
 
-def leakage(cfg: NetworkConfig, alignment, channel: Channel,
-            rt: ReducedTransceivers) -> float:
+def leakage(problem: Problem, rt: ReducedTransceivers) -> float:
     """Total interference leakage: sum of squared residual magnitudes over the alignment set."""
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
-    _check_point(cfg, rt)
+    _check_point(problem.cfg, rt)
     return sum(
-        frobenius_norm_sq(residual_matrix(cfg, channel, rt, k, j)) for k, j in pairs
+        frobenius_norm_sq(residual_matrix(problem, rt, k, j)) for k, j in problem.pairs
     )
 
 
-def _pairs_by_rx(pairs) -> dict[int, list[int]]:
-    by_rx: dict[int, list[int]] = {}
-    for k, j in pairs:
-        by_rx.setdefault(k, []).append(j)
-    return by_rx
-
-
-def _pairs_by_tx(pairs) -> dict[int, list[int]]:
-    by_tx: dict[int, list[int]] = {}
-    for k, j in pairs:
-        by_tx.setdefault(j, []).append(k)
-    return by_tx
-
-
-def receiver_update(cfg: NetworkConfig, alignment, channel: Channel,
-                    rt: ReducedTransceivers) -> ReducedTransceivers:
+def receiver_update(problem: Problem, rt: ReducedTransceivers) -> ReducedTransceivers:
     """Exact leakage minimizer over every reduced decoder, precoders held fixed.
 
     For each receiver ``k`` with at least one aligned pair, the per-pair
@@ -212,11 +177,10 @@ def receiver_update(cfg: NetworkConfig, alignment, channel: Channel,
     well defined even when ``A_k`` is rank deficient.  Receivers with no
     aligned pair keep their block.
     """
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
+    cfg, channel = problem.cfg, problem.channel
     _check_point(cfg, rt)
     new_U = list(rt.U)
-    for k, js in _pairs_by_rx(pairs).items():
+    for k, js in problem.by_rx.items():
         dk = cfg.d[k - 1]
         A_parts, B_parts = [], []
         for j in js:
@@ -229,19 +193,17 @@ def receiver_update(cfg: NetworkConfig, alignment, channel: Channel,
     return ReducedTransceivers(tuple(new_U), rt.V)
 
 
-def transmitter_update(cfg: NetworkConfig, alignment, channel: Channel,
-                       rt: ReducedTransceivers) -> ReducedTransceivers:
+def transmitter_update(problem: Problem, rt: ReducedTransceivers) -> ReducedTransceivers:
     """Exact leakage minimizer over every reduced precoder, decoders held fixed.
 
     Mirror image of :func:`receiver_update`: per-pair blocks ``C_kj``
     (right) and ``D_kj`` (left) of ``U_k^H H_kj`` are stacked vertically
     over the aligned receivers and ``V~_j = -C_j^+ D_j``.
     """
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
+    cfg, channel = problem.cfg, problem.channel
     _check_point(cfg, rt)
     new_V = list(rt.V)
-    for j, ks in _pairs_by_tx(pairs).items():
+    for j, ks in problem.by_tx.items():
         dj = cfg.d[j - 1]
         C_parts, D_parts = [], []
         for k in ks:
@@ -314,6 +276,8 @@ def _trace_driver(state, step, leak_of, *, max_iters, leak_tol, target_db,
     The recorded leakage is always the raw objective, which is what the
     stall test and ``leak_tol`` act on.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     leak0 = leak_of(state)
     norm0 = norm_db_of(state) if norm_db_of is not None else 0.0
     points = [(0, leak0, 0.0)]
@@ -365,19 +329,13 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
     -------
     (ReducedTransceivers, RunTrace)
     """
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
+    problem = Problem(cfg, alignment, channel)
     rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed)]))
-    start = zero_reduced(cfg)
-    V0 = tuple(
-        _complex_normal(rng, (cfg.M[j - 1] - cfg.d[j - 1], cfg.d[j - 1]))
-        for j in range(1, cfg.n_tx + 1)
-    )
-    start = ReducedTransceivers(start.U, V0)
+    V0 = tuple(_complex_normal(rng, s) for s in free_shapes(cfg)[1])
+    start = ReducedTransceivers(zero_reduced(cfg).U, V0)
 
     def step(rt):
-        rt = receiver_update(cfg, pairs, channel, rt)
-        return transmitter_update(cfg, pairs, channel, rt)
+        return transmitter_update(problem, receiver_update(problem, rt))
 
     def norm_db(rt):
         # identity block contributes d_k to trace(U^H U)
@@ -386,17 +344,16 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
         return 10.0 * math.log10(power_u * power_v)
 
     return _trace_driver(
-        start, step, lambda rt: leakage(cfg, pairs, channel, rt),
+        start, step, lambda rt: leakage(problem, rt),
         max_iters=max_iters, leak_tol=leak_tol, target_db=target_db,
         norm_db_of=norm_db,
     )
 
 
-def _full_leakage(cfg, pairs, channel, U, V) -> float:
-    return sum(
-        frobenius_norm_sq(U[k - 1].conj().T @ channel[(k, j)] @ V[j - 1])
-        for k, j in pairs
-    )
+def _full_residuals(problem: Problem, ts: TransceiverSet):
+    """``U_k^H H_kj V_j`` of the full transceivers, per aligned pair in canonical order."""
+    for k, j in problem.pairs:
+        yield ts.U[k - 1].conj().T @ problem.channel[(k, j)] @ ts.V[j - 1]
 
 
 def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
@@ -412,10 +369,7 @@ def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
     -------
     (TransceiverSet, RunTrace)
     """
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
-    by_rx = _pairs_by_rx(pairs)
-    by_tx = _pairs_by_tx(pairs)
+    problem = Problem(cfg, alignment, channel)
     rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed)]))
     U0 = tuple(
         np.eye(cfg.N[k - 1], cfg.d[k - 1], dtype=np.complex128)
@@ -428,7 +382,7 @@ def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
 
     def step(ts):
         U, V = list(ts.U), list(ts.V)
-        for k, js in by_rx.items():
+        for k, js in problem.by_rx.items():
             Nk = cfg.N[k - 1]
             Q = np.zeros((Nk, Nk), dtype=np.complex128)
             for j in js:
@@ -436,7 +390,7 @@ def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
                 Q += HV @ HV.conj().T
             _, vecs = np.linalg.eigh(Q)
             U[k - 1] = vecs[:, : cfg.d[k - 1]]
-        for j, ks in by_tx.items():
+        for j, ks in problem.by_tx.items():
             Mj = cfg.M[j - 1]
             Q = np.zeros((Mj, Mj), dtype=np.complex128)
             for k in ks:
@@ -448,7 +402,7 @@ def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
 
     return _trace_driver(
         TransceiverSet(U0, V0), step,
-        lambda ts: _full_leakage(cfg, pairs, channel, ts.U, ts.V),
+        lambda ts: sum(frobenius_norm_sq(R) for R in _full_residuals(problem, ts)),
         max_iters=max_iters, leak_tol=leak_tol, target_db=target_db,
     )
 
@@ -477,14 +431,14 @@ def verify_solution(cfg: NetworkConfig, alignment, channel: Channel,
     (absolute, on unit-variance channels), (b) each direct link
     ``U_k^H H_kk V_k`` has numerical rank ``d_k``, and (c) each jammer
     precoder has numerical rank ``d_j``.  Failures are reported
-    individually.
+    individually.  ``tol`` must be finite and nonnegative.
     """
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
+    problem = Problem(cfg, alignment, channel)
     failures: list[str] = []
     max_res = 0.0
-    for k, j in pairs:
-        R = ts.U[k - 1].conj().T @ channel[(k, j)] @ ts.V[j - 1]
+    for R in _full_residuals(problem, ts):
         if R.size:
             max_res = max(max_res, float(np.abs(R).max()))
     if max_res > tol:

@@ -12,6 +12,7 @@ All output is deterministic given the flags and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -67,6 +68,17 @@ def _seed(text: str) -> int:
 def _seeds(text: str) -> tuple[int, ...]:
     """argparse type: comma-separated seeds."""
     return tuple(_seed(item) for item in text.split(","))
+
+
+def _nonnegative(kind):
+    """argparse type for a finite, nonnegative ``kind`` (``int`` or ``float``)."""
+    def parse(text: str):
+        value = kind(text)  # a ValueError here reads "invalid <kind> value"
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite nonnegative number")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -183,8 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="trace CSV path")
     p.add_argument("--solution", default=None, help="solution dump path (default: <out>.solution.txt)")
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--budget", type=int, default=5000, help="maximum rounds")
-    p.add_argument("--tol", type=float, default=1e-6, help="verification residual tolerance")
+    p.add_argument("--budget", type=_nonnegative(int), default=5000, help="maximum rounds")
+    p.add_argument("--tol", type=_nonnegative(float), default=1e-6,
+                   help="verification residual tolerance")
     p.add_argument("--leak-tol", type=float, default=1e-12, dest="leak_tol",
                    help="absolute leakage stopping tolerance")
     p.add_argument("--target-db", type=float, default=None, dest="target_db",
@@ -195,16 +208,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--trials", type=int, required=True)
     p.add_argument("--algorithm", choices=("gia", "classical"), default="gia")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--budget", type=int, default=5000)
+    p.add_argument("--budget", type=_nonnegative(int), default=5000)
     p.add_argument("--out", default=None, help="trial CSV path")
     p.set_defaults(func=_cmd_test1)
 
     p = sub.add_parser("fig6", help="paired convergence traces on a benchmark configuration")
     p.add_argument("--id", type=int, choices=sorted(BENCHMARK_CONFIGS), required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--rounds", type=int, default=5000)
+    p.add_argument("--rounds", type=_nonnegative(int), default=5000)
     p.add_argument("--stop-db", type=float, default=None, dest="stop_db",
-                   help="optional early stop once both traces pass this level")
+                   help="optional early stop: each trace ends once it reaches this level")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_fig6)
 

@@ -24,6 +24,7 @@ max-flow/min-cut computation, whose minimum cut names a violating subset.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -35,9 +36,10 @@ from .network import (
     Channel,
     NetworkConfig,
     Pair,
+    Problem,
     _check_seed,
     canonical_alignment,
-    check_channel,
+    free_shapes,
     generate_channel,
 )
 
@@ -104,12 +106,10 @@ class FeasibilityReport:
 def _layout(cfg: NetworkConfig, pairs) -> tuple[dict[Pair, int], dict[tuple[str, int], int], int, int]:
     col_index: dict[tuple[str, int], int] = {}
     off = 0
-    for k in range(1, cfg.K + 1):
-        col_index[("U", k)] = off
-        off += cfg.d[k - 1] * (cfg.N[k - 1] - cfg.d[k - 1])
-    for j in range(1, cfg.n_tx + 1):
-        col_index[("V", j)] = off
-        off += cfg.d[j - 1] * (cfg.M[j - 1] - cfg.d[j - 1])
+    for side, shapes in zip("UV", free_shapes(cfg)):
+        for node, shape in enumerate(shapes, start=1):
+            col_index[(side, node)] = off
+            off += math.prod(shape)
     n_vars = off
     row_index: dict[Pair, int] = {}
     off = 0
@@ -119,34 +119,20 @@ def _layout(cfg: NetworkConfig, pairs) -> tuple[dict[Pair, int], dict[tuple[str,
     return row_index, col_index, off, n_vars
 
 
-def _assemble(cfg: NetworkConfig, pairs, u_block, v_block) -> CoefficientMatrix:
-    row_index, col_index, n_rows, n_vars = _layout(cfg, pairs)
+def _jacobian(problem: Problem, point: ReducedTransceivers) -> CoefficientMatrix:
+    cfg, channel = problem.cfg, problem.channel
+    row_index, col_index, n_rows, n_vars = _layout(cfg, problem.pairs)
     mat = np.zeros((n_rows, n_vars), dtype=np.complex128)
-    for k, j in pairs:
-        r = row_index[(k, j)]
-        bu = u_block(k, j)
-        bv = v_block(k, j)
-        cu = col_index[("U", k)]
-        cv = col_index[("V", j)]
+    for k, j in problem.pairs:
+        dk, dj = cfg.d[k - 1], cfg.d[j - 1]
+        _, A = hv_blocks(channel[(k, j)], dk, dj, point.V[j - 1])
+        _, C = uh_blocks(channel[(k, j)], dk, dj, point.U[k - 1])
+        bu = np.kron(np.eye(dk), A.T)
+        bv = np.vstack([np.kron(np.eye(dj), C[p : p + 1, :]) for p in range(dk)])
+        r, cu, cv = row_index[(k, j)], col_index[("U", k)], col_index[("V", j)]
         mat[r : r + bu.shape[0], cu : cu + bu.shape[1]] = bu
         mat[r : r + bv.shape[0], cv : cv + bv.shape[1]] = bv
     return CoefficientMatrix(mat, row_index, col_index)
-
-
-def _jacobian(cfg: NetworkConfig, pairs, channel: Channel,
-              point: ReducedTransceivers) -> CoefficientMatrix:
-    def u_block(k, j):
-        dk, dj = cfg.d[k - 1], cfg.d[j - 1]
-        _, A = hv_blocks(channel[(k, j)], dk, dj, point.V[j - 1])
-        return np.kron(np.eye(dk), A.T)
-
-    def v_block(k, j):
-        dk, dj = cfg.d[k - 1], cfg.d[j - 1]
-        _, C = uh_blocks(channel[(k, j)], dk, dj, point.U[k - 1])
-        eye = np.eye(dj)
-        return np.vstack([np.kron(eye, C[p : p + 1, :]) for p in range(dk)])
-
-    return _assemble(cfg, pairs, u_block, v_block)
 
 
 def build_coefficient_matrix(cfg: NetworkConfig, alignment, channel: Channel) -> CoefficientMatrix:
@@ -158,9 +144,7 @@ def build_coefficient_matrix(cfg: NetworkConfig, alignment, channel: Channel) ->
     transmitter ``j`` is block diagonal with ``d_j`` copies of the row
     ``H_kj[p, d_j:]``.
     """
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
-    return _jacobian(cfg, pairs, channel, zero_reduced(cfg))
+    return _jacobian(Problem(cfg, alignment, channel), zero_reduced(cfg))
 
 
 def build_jacobian(cfg: NetworkConfig, alignment, channel: Channel,
@@ -172,9 +156,7 @@ def build_jacobian(cfg: NetworkConfig, alignment, channel: Channel,
     other side's current value.  At the all-zero point this equals the
     coefficient matrix exactly.
     """
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
-    return _jacobian(cfg, pairs, channel, point).matrix
+    return _jacobian(Problem(cfg, alignment, channel), point).matrix
 
 
 def _covered(pairs, demand: list[int], rx_cap: dict[int, int], tx_cap: dict[int, int]):
@@ -250,8 +232,9 @@ def check_proper(cfg: NetworkConfig, alignment):
         Verdict plus one violating subset (a minimum-cut side) when improper.
     """
     pairs = canonical_alignment(cfg, alignment)
-    rx_val = {k: cfg.d[k - 1] * (cfg.N[k - 1] - cfg.d[k - 1]) for k, _ in pairs}
-    tx_val = {j: cfg.d[j - 1] * (cfg.M[j - 1] - cfg.d[j - 1]) for _, j in pairs}
+    rx, tx = free_shapes(cfg)
+    rx_val = {k: math.prod(rx[k - 1]) for k, _ in pairs}
+    tx_val = {j: math.prod(tx[j - 1]) for _, j in pairs}
     demand = [cfg.d[k - 1] * cfg.d[j - 1] for k, j in pairs]
     return _covered(pairs, demand, rx_val, tx_val)
 
@@ -378,14 +361,12 @@ def independence_probe(cfg: NetworkConfig, alignment, channel: Channel,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    pairs = canonical_alignment(cfg, alignment)
-    check_channel(cfg, channel)
-    _, _, n_constraints, _ = _layout(cfg, pairs)
+    problem = Problem(cfg, alignment, channel)
+    _, _, n_constraints, _ = _layout(cfg, problem.pairs)
     if n_constraints == 0:
         return True
     for t in range(trials):
         point = random_reduced(cfg, np.random.SeedSequence([int(seed), t]))
-        jac = build_jacobian(cfg, pairs, channel, point)
-        if numerical_rank(jac).rank == n_constraints:
+        if numerical_rank(_jacobian(problem, point).matrix).rank == n_constraints:
             return True
     return False

@@ -11,7 +11,7 @@ A channel state is a plain dict mapping each (receiver, transmitter) pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,8 @@ __all__ = [
     "validate_config",
     "alignment_all",
     "canonical_alignment",
+    "free_shapes",
+    "Problem",
     "scale_config",
     "generate_channel",
     "save_config",
@@ -198,7 +200,7 @@ def generate_channel(cfg: NetworkConfig, seed: int) -> Channel:
 
 
 def check_channel(cfg: NetworkConfig, channel: Channel) -> None:
-    """Verify a channel dict covers all pairs with the right finite shapes."""
+    """Verify a channel dict covers all pairs, each with the right shape and finite entries."""
     for k in range(1, cfg.K + 1):
         for j in range(1, cfg.n_tx + 1):
             if (k, j) not in channel:
@@ -209,6 +211,46 @@ def check_channel(cfg: NetworkConfig, channel: Channel) -> None:
                 raise ConfigError(
                     f"channel ({k},{j}) has shape {h.shape}, expected {want}"
                 )
+            if not np.isfinite(h).all():
+                raise ConfigError(f"channel ({k},{j}) has non-finite entries")
+
+
+def free_shapes(cfg: NetworkConfig):
+    """Shapes of the free transceiver blocks, ``U~_k = U_k[d_k:]`` and ``V~_j = V_j[d_j:]``.
+
+    Returns ``(rx, tx)``: ``rx[k-1] = (N_k - d_k, d_k)`` for receivers
+    ``1..K`` and ``tx[j-1] = (M_j - d_j, d_j)`` for transmitters ``1..K+J``.
+    """
+    return (
+        tuple((n - d, d) for n, d in zip(cfg.N, cfg.d)),
+        tuple((m - d, d) for m, d in zip(cfg.M, cfg.d)),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One alignment instance, validated once: configuration, alignment set, channel.
+
+    Construction canonicalizes the alignment set (``pairs``, lexicographic)
+    and checks the channel against the configuration, raising
+    :class:`ConfigError` on either.  ``by_rx[k]`` lists the aligned
+    transmitters of receiver ``k`` and ``by_tx[j]`` the aligned receivers of
+    transmitter ``j``; both follow the canonical pair order, and nodes
+    without an aligned pair have no entry.
+    """
+
+    cfg: NetworkConfig
+    pairs: tuple[Pair, ...]
+    channel: Channel
+    by_rx: dict[int, tuple[int, ...]] = field(init=False)
+    by_tx: dict[int, tuple[int, ...]] = field(init=False)
+
+    def __post_init__(self):
+        pairs = canonical_alignment(self.cfg, self.pairs)
+        check_channel(self.cfg, self.channel)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "by_rx", {k: tuple(j for r, j in pairs if r == k) for k, _ in pairs})
+        object.__setattr__(self, "by_tx", {j: tuple(k for k, t in pairs if t == j) for _, j in pairs})
 
 
 # Config file format: flat `key = value` lines, one key each of K, J, M, N, d

@@ -74,7 +74,7 @@ def variable_order(cfg):
     return out
 
 
-def fd_jacobian(cfg, pairs, channel, rt, step=1e-6):
+def fd_jacobian(problem, rt, step=1e-6):
     """Jacobian of the residual vector by central differences.
 
     A real step in a conjugated-decoder variable shifts the decoder entry by
@@ -83,11 +83,11 @@ def fd_jacobian(cfg, pairs, channel, rt, step=1e-6):
     are exact up to roundoff.
     """
     columns = []
-    for side, node, row, col in variable_order(cfg):
-        plus = residual_vector(cfg, pairs, channel, perturbed(rt, side, node, row, col, step))
-        minus = residual_vector(cfg, pairs, channel, perturbed(rt, side, node, row, col, -step))
+    for side, node, row, col in variable_order(problem.cfg):
+        plus = residual_vector(problem, perturbed(rt, side, node, row, col, step))
+        minus = residual_vector(problem, perturbed(rt, side, node, row, col, -step))
         columns.append((plus - minus) / (2.0 * step))
-    n_rows = residual_vector(cfg, pairs, channel, rt).shape[0]
+    n_rows = residual_vector(problem, rt).shape[0]
     if not columns:
         return np.zeros((n_rows, 0), dtype=np.complex128)
     return np.column_stack(columns)

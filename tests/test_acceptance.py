@@ -29,7 +29,7 @@ from gia.feasibility import (
 )
 from gia.harness import SamplingBounds, run_fig6, run_test1, sample_random_config
 from gia.linalg import numerical_rank
-from gia.network import NetworkConfig, alignment_all, generate_channel, scale_config
+from gia.network import NetworkConfig, Problem, alignment_all, generate_channel, scale_config
 
 BENCHMARKS = {1: CONFIG_SYM, 2: CONFIG_ASYM, 3: CONFIG_INFEASIBLE}
 
@@ -214,7 +214,7 @@ def test_criterion_6_invariance_suite():
         for point_seed in range(5):
             point = random_reduced(cfg, 900 + 10 * idx + point_seed)
             jac = build_jacobian(cfg, pairs, channel, point)
-            fd = fd_jacobian(cfg, pairs, channel, point)
+            fd = fd_jacobian(Problem(cfg, pairs, channel), point)
             err = float((np.abs(fd - jac) / np.maximum(np.abs(jac), 1.0)).max())
             worst = max(worst, err)
     ok &= worst <= 1e-5

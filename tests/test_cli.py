@@ -146,9 +146,15 @@ class TestUsageErrors:
             ["feasibility", "--config", "{dir}"],
             ["feasibility", "--config", "{cfg}", "--seed", "-1"],
             ["sweep", "--config", "{cfg}", "--seeds", "-1"],
+            ["test1", "-n", "2", "--budget", "-5"],
+            ["design", "--config", "{cfg}", "--out", "{dir}/t.csv", "--budget", "-5"],
+            ["fig6", "--id", "3", "--rounds", "-1", "--out-dir", "{dir}"],
+            ["design", "--config", "{cfg}", "--out", "{dir}/t.csv", "--budget", "3",
+             "--tol", "nan"],
         ],
         ids=["bad-seed-list", "bad-scale-list", "config-is-directory", "negative-seed",
-             "negative-seed-in-list"],
+             "negative-seed-in-list", "negative-budget-test1", "negative-budget-design",
+             "negative-rounds", "nan-tol"],
     )
     def test_exit_two_with_one_error_line(self, argv, sym_config_file, tmp_path, capsys):
         argv = [arg.format(cfg=sym_config_file, dir=tmp_path) for arg in argv]

@@ -15,7 +15,7 @@ from gia.feasibility import (
     independence_probe,
 )
 from gia.linalg import numerical_rank
-from gia.network import ConfigError, NetworkConfig, alignment_all, generate_channel
+from gia.network import ConfigError, NetworkConfig, Problem, alignment_all, generate_channel
 
 
 def violates(cfg, sub):
@@ -89,7 +89,7 @@ class TestCoefficientBlocks:
         cfg = NetworkConfig(K=2, J=0, M=(3, 2), N=(3, 4), d=(2, 1))
         pairs = ((1, 2),)
         channel = generate_channel(cfg, 8)
-        fd = fd_jacobian(cfg, pairs, channel, zero_reduced(cfg))
+        fd = fd_jacobian(Problem(cfg, pairs, channel), zero_reduced(cfg))
         hall = build_coefficient_matrix(cfg, pairs, channel)
         c0 = hall.col_index[("U", 1)]
         block = coeff_block(cfg, channel, 1, 2, "U")
@@ -112,7 +112,7 @@ class TestCoefficientBlocks:
         cfg = NetworkConfig(K=2, J=0, M=(3, 4), N=(2, 3), d=(1, 2))
         pairs = ((1, 2),)
         channel = generate_channel(cfg, 9)
-        fd = fd_jacobian(cfg, pairs, channel, zero_reduced(cfg))
+        fd = fd_jacobian(Problem(cfg, pairs, channel), zero_reduced(cfg))
         hall = build_coefficient_matrix(cfg, pairs, channel)
         c0 = hall.col_index[("V", 2)]
         block = coeff_block(cfg, channel, 1, 2, "V")
@@ -372,7 +372,7 @@ class TestJacobian:
         channel = generate_channel(cfg, 5)
         point = random_reduced(cfg, 17)
         jac = build_jacobian(cfg, pairs, channel, point)
-        fd = fd_jacobian(cfg, pairs, channel, point)
+        fd = fd_jacobian(Problem(cfg, pairs, channel), point)
         err = np.abs(fd - jac) / np.maximum(np.abs(jac), 1.0)
         assert err.max() <= 1e-6
 

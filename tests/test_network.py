@@ -8,8 +8,10 @@ from gia.network import (
     ConfigError,
     ConfigParseError,
     NetworkConfig,
+    Problem,
     alignment_all,
     canonical_alignment,
+    free_shapes,
     generate_channel,
     load_config,
     save_config,
@@ -64,6 +66,38 @@ class TestAlignment:
     def test_canonical_rejects_out_of_range(self):
         with pytest.raises(ConfigError, match="out of range"):
             canonical_alignment(CONFIG_SYM, [(1, 4)])
+
+
+class TestProblem:
+    def test_pairs_canonical_and_grouped_in_order(self):
+        cfg = NetworkConfig(K=3, J=1, M=(2, 2, 2, 3), N=(2, 2, 2), d=(1, 1, 1, 1))
+        problem = Problem(cfg, [(3, 1), (1, 4), (2, 1), (1, 3), (1, 3)], generate_channel(cfg, 0))
+        assert problem.pairs == ((1, 3), (1, 4), (2, 1), (3, 1))
+        assert list(problem.by_rx.items()) == [(1, (3, 4)), (2, (1,)), (3, (1,))]
+        assert list(problem.by_tx.items()) == [(3, (1,)), (4, (1,)), (1, (2, 3))]
+
+    def test_out_of_range_pair_rejected(self):
+        cfg = CONFIG_SYM
+        with pytest.raises(ConfigError, match="out of range"):
+            Problem(cfg, [(1, 4)], generate_channel(cfg, 0))
+
+    def test_missing_channel_entry_rejected(self):
+        cfg = CONFIG_SYM
+        channel = generate_channel(cfg, 0)
+        del channel[(2, 2)]
+        with pytest.raises(ConfigError, match=r"missing pair \(2,2\)"):
+            Problem(cfg, [(1, 2)], channel)
+
+    def test_non_finite_channel_rejected(self):
+        cfg = CONFIG_SYM
+        channel = generate_channel(cfg, 0)
+        channel[(1, 2)] = channel[(1, 2)] * np.nan
+        with pytest.raises(ConfigError, match=r"channel \(1,2\) has non-finite entries"):
+            Problem(cfg, [(1, 2)], channel)
+
+    def test_free_shapes(self):
+        cfg = NetworkConfig(K=2, J=1, M=(4, 3, 5), N=(3, 4), d=(2, 1, 2))
+        assert free_shapes(cfg) == (((1, 2), (3, 1)), ((2, 2), (2, 1), (3, 2)))
 
 
 class TestScaleConfig:
