@@ -159,8 +159,9 @@ def _cmd_fig6(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, pairs, _ = _load(args.config, args.seed)
-    rows = sweep_feasibility([cfg], alignment=None, channel_seeds=args.seeds,
+    cfg, pairs, _ = load_config(args.config)
+    # scaling multiplies antenna and stream counts, so the pairs stay valid
+    rows = sweep_feasibility([cfg], alignment=pairs, channel_seeds=args.seeds,
                              scales=args.scales)
     lines = ["member,scale,seed,feasible,method,C,V,rank"]
     lines.extend(
@@ -223,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="feasibility across channel seeds and scalings")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--seeds", type=_seeds, default="0,1,2,3,4,5,6,7,8,9",
                    help="comma-separated channel seeds")
     p.add_argument("--scales", type=_ints, default="1,2", help="comma-separated scale factors")

@@ -17,9 +17,11 @@ point, so one assembly serves both.
 Besides the generic rank test this module implements the cheap necessary
 counting condition (properness) and two closed-form special cases (symmetric
 and stream-divisible configurations) that bypass the rank computation when
-they apply.  Properness and the subset condition of the divisible formula
-quantify over every subset of the alignment set; each is decided by one
-max-flow/min-cut computation, whose minimum cut names a violating subset.
+they apply.  Properness quantifies over every subset of the alignment set and
+is decided by one max-flow/min-cut computation, whose minimum cut names a
+violating subset.  It is the only subset condition: on the classes where the
+closed forms apply they are equivalent to it, so they name the class that
+makes properness sufficient rather than decide anything new.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aligner import ReducedTransceivers, hv_blocks, random_reduced, uh_blocks, zero_reduced
-from .linalg import DEFAULT_REL_TOL, numerical_rank
+from .linalg import numerical_rank
 from .network import (
     Channel,
     NetworkConfig,
@@ -39,6 +41,7 @@ from .network import (
     Problem,
     _check_seed,
     canonical_alignment,
+    check_channel,
     free_shapes,
     generate_channel,
 )
@@ -159,17 +162,32 @@ def build_jacobian(cfg: NetworkConfig, alignment, channel: Channel,
     return _jacobian(Problem(cfg, alignment, channel), point).matrix
 
 
-def _covered(pairs, demand: list[int], rx_cap: dict[int, int], tx_cap: dict[int, int]):
-    """Decide ``sum demand(S) <= sum cap(nodes touched by S)`` for every subset S of ``pairs``.
+def check_proper(cfg: NetworkConfig, alignment):
+    """Necessary counting condition: free variables must cover constraints on every subset.
 
-    One max-flow: source -> pair (capacity ``demand``) -> its receiver and
-    transmitter node (uncapped) -> sink (capacity ``rx_cap`` / ``tx_cap``).
+    For each nonempty subset of the alignment set, the free-variable count of
+    the involved nodes must be at least the constraint count,
+    ``sum d_j (M_j - d_j) + sum d_k (N_k - d_k) >= sum d_k d_j``.
+    This is the one subset condition of the package; the closed forms below
+    restate it on their classes.
+
+    All subsets are decided by one max-flow, in polynomial time: source ->
+    pair (capacity ``d_k d_j``) -> its receiver and transmitter node
+    (uncapped) -> sink (capacity ``d_k (N_k - d_k)`` / ``d_j (M_j - d_j)``).
     The condition holds iff the flow saturates the source; otherwise the
     pairs left reachable from the source by the last search form the source
     side of a minimum cut, and that subset violates the condition.
 
-    Returns (ok, violating subset or None).
+    Returns
+    -------
+    (bool, tuple of pairs or None)
+        Verdict plus one violating subset (a minimum-cut side) when improper.
     """
+    pairs = canonical_alignment(cfg, alignment)
+    rx, tx = free_shapes(cfg)
+    rx_cap = {k: math.prod(rx[k - 1]) for k, _ in pairs}
+    tx_cap = {j: math.prod(tx[j - 1]) for _, j in pairs}
+    demand = [cfg.d[k - 1] * cfg.d[j - 1] for k, j in pairs]
     n = len(pairs)
     rx_node = {k: n + 1 + i for i, k in enumerate(rx_cap)}
     tx_node = {j: n + 1 + len(rx_cap) + i for i, j in enumerate(tx_cap)}
@@ -218,27 +236,6 @@ def _covered(pairs, demand: list[int], rx_cap: dict[int, int], tx_cap: dict[int,
     return False, tuple(p for i, p in enumerate(pairs, start=1) if i in parent)
 
 
-def check_proper(cfg: NetworkConfig, alignment):
-    """Necessary counting condition: free variables must cover constraints on every subset.
-
-    For each nonempty subset of the alignment set, the free-variable count of
-    the involved nodes must be at least the constraint count,
-    ``sum d_j (M_j - d_j) + sum d_k (N_k - d_k) >= sum d_k d_j``.
-    All subsets are decided by one max-flow, in polynomial time.
-
-    Returns
-    -------
-    (bool, tuple of pairs or None)
-        Verdict plus one violating subset (a minimum-cut side) when improper.
-    """
-    pairs = canonical_alignment(cfg, alignment)
-    rx, tx = free_shapes(cfg)
-    rx_val = {k: math.prod(rx[k - 1]) for k, _ in pairs}
-    tx_val = {j: math.prod(tx[j - 1]) for _, j in pairs}
-    demand = [cfg.d[k - 1] * cfg.d[j - 1] for k, j in pairs]
-    return _covered(pairs, demand, rx_val, tx_val)
-
-
 def check_symmetric_formula(cfg: NetworkConfig, alignment):
     """Closed-form verdict for symmetric networks with a regular alignment set.
 
@@ -279,76 +276,67 @@ def check_symmetric_formula(cfg: NetworkConfig, alignment):
     return True, M + N - (L + 2) * d >= 0
 
 
+def _divisible(cfg: NetworkConfig) -> bool:
+    d = cfg.d[0]
+    return all(x == d for x in cfg.d) and (
+        all(n % d == 0 for n in cfg.N) or all(m % d == 0 for m in cfg.M))
+
+
 def check_divisible_formula(cfg: NetworkConfig, alignment):
     """Closed-form verdict when all stream counts are equal and divide one antenna side.
 
     Applicable when ``d_k = d`` for every node and either ``d | N_k`` for all
     receivers or ``d | M_j`` for all transmitters.  Then the problem is
     feasible iff, for every subset of the alignment set,
-    ``sum (M_j - d) + sum (N_k - d) >= d * |subset|`` over the involved nodes,
-    which is decided by the same max-flow as :func:`check_proper`.
+    ``sum (M_j - d) + sum (N_k - d) >= d * |subset|`` over the involved nodes.
+    With one ``d`` everywhere that is the properness condition divided by
+    ``d``, so the verdict is :func:`check_proper`'s: on this class properness
+    is sufficient as well as necessary.
 
     Returns
     -------
     (applicable, feasible or None)
     """
     pairs = canonical_alignment(cfg, alignment)
-    d = cfg.d[0]
-    if any(x != d for x in cfg.d):
+    if not _divisible(cfg):
         return False, None
-    div_n = all(n % d == 0 for n in cfg.N)
-    div_m = all(m % d == 0 for m in cfg.M)
-    if not (div_n or div_m):
-        return False, None
-    rx_val = {k: cfg.N[k - 1] - d for k, _ in pairs}
-    tx_val = {j: cfg.M[j - 1] - d for _, j in pairs}
-    ok, _ = _covered(pairs, [d] * len(pairs), rx_val, tx_val)
-    return True, ok
-
-
-def _rank_report(cfg: NetworkConfig, pairs, channel: Channel) -> FeasibilityReport:
-    hall = build_coefficient_matrix(cfg, pairs, channel)
-    rr = numerical_rank(hall.matrix, DEFAULT_REL_TOL)
-    return FeasibilityReport(
-        feasible=rr.rank == hall.n_constraints,
-        n_constraints=hall.n_constraints,
-        n_variables=hall.n_variables,
-        rank=rr.rank,
-        method="hall_rank",
-        tolerance=rr.tolerance_used,
-    )
+    return True, check_proper(cfg, pairs)[0]
 
 
 def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = None,
                       seed: int = 0) -> FeasibilityReport:
     """Decide feasibility for a configuration and alignment set.
 
-    Fast paths run in order - properness, symmetric formula, divisible
-    formula - and the generic rank test of the coefficient matrix decides
-    the rest.  Because the verdict depends only on the configuration and
-    alignment set (not the channel draw), a single random channel is
-    generated from ``seed`` when none is supplied; the seed is validated
-    even when a fast path decides.
+    Properness is checked first: it is necessary everywhere, and on the
+    symmetric and divisible classes it is also sufficient (their closed
+    forms restate it), so there it decides and the report names the class.
+    The generic rank test of the coefficient matrix decides the rest.
+    Because the verdict depends only on the configuration and alignment set
+    (not the channel draw), a single random channel is generated from
+    ``seed`` when none is supplied.  The seed and a supplied channel are
+    validated even when a fast path decides.
     """
     seed = _check_seed(seed)
     pairs = canonical_alignment(cfg, alignment)
-    _, _, n_constraints, n_variables = _layout(cfg, pairs)
+    if channel is not None:
+        check_channel(cfg, channel)
 
     proper, _ = check_proper(cfg, pairs)
     if not proper:
-        return FeasibilityReport(False, n_constraints, n_variables, -1, "proper_fail", 0.0)
-
-    applicable, feasible = check_symmetric_formula(cfg, pairs)
-    if applicable:
-        return FeasibilityReport(feasible, n_constraints, n_variables, -1, "symmetric_formula", 0.0)
-
-    applicable, feasible = check_divisible_formula(cfg, pairs)
-    if applicable:
-        return FeasibilityReport(feasible, n_constraints, n_variables, -1, "divisible_formula", 0.0)
-
-    if channel is None:
-        channel = generate_channel(cfg, seed)
-    return _rank_report(cfg, pairs, channel)
+        method = "proper_fail"
+    elif check_symmetric_formula(cfg, pairs)[0]:
+        method = "symmetric_formula"
+    elif _divisible(cfg):
+        method = "divisible_formula"
+    else:
+        if channel is None:
+            channel = generate_channel(cfg, seed)
+        hall = build_coefficient_matrix(cfg, pairs, channel)
+        rr = numerical_rank(hall.matrix)
+        return FeasibilityReport(rr.rank == hall.n_constraints, hall.n_constraints,
+                                 hall.n_variables, rr.rank, "hall_rank", rr.tolerance_used)
+    _, _, n_constraints, n_variables = _layout(cfg, pairs)
+    return FeasibilityReport(proper, n_constraints, n_variables, -1, method, 0.0)
 
 
 def independence_probe(cfg: NetworkConfig, alignment, channel: Channel,

@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernel shared by the whole package.
 
-Numerical rank and the Moore-Penrose pseudo-inverse use one scale-invariant
-singular-value cutoff so that feasibility verdicts are reproducible across
-the package: a singular value counts toward the rank iff it exceeds
-``rel_tol * sigma_max * max(rows, cols)``.  ``DEFAULT_REL_TOL`` is the single
-shared constant; every caller that needs a rank decision goes through here.
+Numerical rank and the Moore-Penrose pseudo-inverse use one fixed,
+scale-invariant singular-value cutoff so that feasibility verdicts are
+reproducible across the package: a singular value counts toward the rank iff
+it exceeds ``DEFAULT_REL_TOL * sigma_max * max(rows, cols)``.  No caller can
+override it; every rank decision goes through here.
 
 Zero-dimensional matrices (0 rows or 0 columns) are first class: they occur
 whenever a node has no free transceiver entries (``d_k == N_k`` or
@@ -65,25 +65,19 @@ class RankResult:
     tolerance_used: float
 
 
-def _cutoff(s: np.ndarray, shape: tuple[int, int], rel_tol: float | None) -> float:
-    rel = DEFAULT_REL_TOL if rel_tol is None else float(rel_tol)
-    if rel < 0.0:
-        raise ValueError("rel_tol must be nonnegative")
-    if s.size == 0:
-        return 0.0
-    return rel * float(s[0]) * max(shape)
+def _cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
+    # callers return early on an empty matrix, so ``s`` is never empty here
+    return DEFAULT_REL_TOL * float(s[0]) * max(shape)
 
 
-def numerical_rank(m, rel_tol: float | None = None) -> RankResult:
+def numerical_rank(m) -> RankResult:
     """Numerical rank of ``m`` via SVD with the shared scale-invariant cutoff.
 
     Parameters
     ----------
     m : array_like
-        Matrix with finite entries.
-    rel_tol : float, optional
-        Overrides ``DEFAULT_REL_TOL``.  The absolute cutoff is
-        ``rel_tol * sigma_max * max(rows, cols)``.
+        Matrix with finite entries.  The absolute cutoff is
+        ``DEFAULT_REL_TOL * sigma_max * max(rows, cols)``.
 
     Returns
     -------
@@ -93,11 +87,11 @@ def numerical_rank(m, rel_tol: float | None = None) -> RankResult:
     if a.size == 0:
         return RankResult(0, np.zeros(0), 0.0)
     s = np.linalg.svd(a, compute_uv=False)
-    tol = _cutoff(s, a.shape, rel_tol)
+    tol = _cutoff(s, a.shape)
     return RankResult(int(np.count_nonzero(s > tol)), s, tol)
 
 
-def pseudo_inverse(m, rel_tol: float | None = None) -> np.ndarray:
+def pseudo_inverse(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of ``m``.
 
     Singular values at or below the shared rank cutoff are inverted as zero,
@@ -115,7 +109,7 @@ def pseudo_inverse(m, rel_tol: float | None = None) -> np.ndarray:
     if a.size == 0:
         return np.zeros((cols, rows), dtype=np.complex128)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    tol = _cutoff(s, a.shape, rel_tol)
+    tol = _cutoff(s, a.shape)
     inv = np.zeros_like(s)
     keep = s > tol
     inv[keep] = 1.0 / s[keep]

@@ -1,15 +1,20 @@
-"""The benchmark's traced run wraps gia functions by name; keep those names resolvable.
+"""The benchmark must keep running against the package it measures.
 
 ``bench/spans.py`` lists, per layer, the public functions it replaces with
-timing wrappers via ``getattr``.  A rename in ``gia`` would otherwise only
-surface when the traced benchmark runs.
+timing wrappers via ``getattr``, and ``bench/selftest.py`` drives every
+workload at tiny sizes (it builds ``RunTrace`` positionally and checks the
+metric tables against ``BENCHMARK.json``).  A rename or a signature change
+in ``gia`` would otherwise only surface when the benchmark runs.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def test_traced_names_resolve():
@@ -23,3 +28,9 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"gia.{layer}"), name, None))
     ]
     assert spans.LAYERS and not missing
+
+
+def test_bench_selftest_passes():
+    done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr

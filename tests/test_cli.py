@@ -136,6 +136,17 @@ class TestSweepCommand:
         assert len(lines) == 5
         assert all(line.split(",")[3] == "true" for line in lines[1:])
 
+    def test_partial_alignment_set_from_config(self, tmp_path, capsys):
+        path = tmp_path / "partial.cfg"
+        save_config(path, CONFIG_INFEASIBLE, ((1, 2), (2, 3)), seed=0)
+        main(["feasibility", "--config", str(path)])
+        n_constraints = capsys.readouterr().out.split(",")[2]
+        assert n_constraints == "18"
+        assert main(["sweep", "--config", str(path), "--seeds", "0,1", "--scales", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.split(",")[5] == n_constraints for row in rows)
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

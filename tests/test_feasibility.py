@@ -61,6 +61,42 @@ def random_alignment(rng, cfg, max_pairs=10):
     return tuple(every[i] for i in sorted(rng.choice(len(every), size=size, replace=False)))
 
 
+def random_closed_form_instance(rng):
+    """Random network, with jammers, on which a closed form may apply.
+
+    Half the draws have symmetric legitimate pairs and often a regular
+    alignment set (cyclic shifts plus some jammer pairs); the other half
+    share one stream count that divides every receive or every transmit
+    antenna count.  The other alignment sets are all cross pairs or a random
+    subset.
+    """
+    K = int(rng.integers(2, 6))
+    J = int(rng.integers(0, 3))
+    d = int(rng.integers(1, 4))
+    symmetric = rng.random() < 0.5
+    if symmetric:
+        dj = tuple(int(rng.integers(1, 4)) for _ in range(J))
+        ds = (d,) * K + dj
+        M = (int(rng.integers(d, 4 * d + 2)),) * K + tuple(int(rng.integers(x, x + 7)) for x in dj)
+        N = (int(rng.integers(d, 4 * d + 2)),) * K
+    else:
+        ds = (d,) * (K + J)
+        multiples = [int(d * rng.integers(1, 4)) for _ in range(K + J)]
+        others = [int(rng.integers(d, d + 7)) for _ in range(K + J)]
+        M, N = (multiples, others[:K]) if rng.random() < 0.5 else (others, multiples[:K])
+    cfg = NetworkConfig(K=K, J=J, M=tuple(M), N=tuple(N), d=ds)
+    every = alignment_all(cfg)
+    draw = rng.random()
+    if draw < 0.3:
+        return cfg, every
+    if symmetric and draw < 0.7:
+        shifts = [s for s in range(1, K) if rng.random() < 0.5]
+        pairs = [(k, (k - 1 + s) % K + 1) for k in range(1, K + 1) for s in shifts]
+        return cfg, tuple(pairs + [p for p in every if p[1] > K and rng.random() < 0.5])
+    size = int(rng.integers(0, len(every) + 1))
+    return cfg, tuple(every[i] for i in sorted(rng.choice(len(every), size=size, replace=False)))
+
+
 def coeff_block(cfg, channel, k, j, side):
     """Rows of pair ``(k, j)`` in the coefficient matrix, restricted to the
     column block of receiver ``k`` (``side="U"``) or transmitter ``j`` (``"V"``)."""
@@ -303,6 +339,26 @@ class TestDivisibleFormula:
         assert verdicts == {True, False}
 
 
+class TestClosedFormsRestateProperness:
+    def test_verdicts_equal_check_proper(self):
+        # feasibility_check decides both classes by properness alone
+        rng = np.random.default_rng(31)
+        verdicts = {check_symmetric_formula: set(), check_divisible_formula: set()}
+        jammers = partial = 0
+        for _ in range(300):
+            cfg, pairs = random_closed_form_instance(rng)
+            proper = check_proper(cfg, pairs)[0]
+            for formula, seen in verdicts.items():
+                applicable, verdict = formula(cfg, pairs)
+                if applicable:
+                    assert verdict == proper, (formula.__name__, cfg, pairs)
+                    seen.add(verdict)
+                    jammers += cfg.J > 0
+                    partial += len(pairs) < len(alignment_all(cfg))
+        assert all(seen == {True, False} for seen in verdicts.values())
+        assert jammers > 0 and partial > 0
+
+
 class TestFeasibilityCheck:
     def test_benchmark_verdicts(self):
         assert feasibility_check(CONFIG_SYM, alignment_all(CONFIG_SYM)).feasible
@@ -343,6 +399,15 @@ class TestFeasibilityCheck:
         # the symmetric formula decides this network without drawing a channel
         with pytest.raises(ValueError):
             feasibility_check(CONFIG_SYM, alignment_all(CONFIG_SYM), seed=-1)
+
+    @pytest.mark.parametrize("cfg", [CONFIG_SYM, CONFIG_INFEASIBLE], ids=["fast-path", "rank-test"])
+    def test_supplied_channel_checked_before_fast_paths(self, cfg):
+        pairs = alignment_all(cfg)
+        nan_link = generate_channel(cfg, 0)
+        nan_link[(1, 2)][0, 0] = np.nan
+        for channel in ({}, nan_link):
+            with pytest.raises(ConfigError):
+                feasibility_check(cfg, pairs, channel)
 
     def test_fast_paths_agree_with_rank_test(self):
         rng = np.random.default_rng(77)
