@@ -62,7 +62,6 @@ from .network import (
     load_config,
     save_config,
     scale_config,
-    validate_config,
 )
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ from .network import (
     Problem,
     TransceiverSet,
     _check_seed,
+    _complex_normal,
     free_shapes,
-    validate_config,
 )
 
 __all__ = [
@@ -80,7 +80,6 @@ class ReducedTransceivers:
 
 def zero_reduced(cfg: NetworkConfig) -> ReducedTransceivers:
     """All-zero reduced transceivers for ``cfg``."""
-    validate_config(cfg)
     rx, tx = free_shapes(cfg)
     return ReducedTransceivers(
         tuple(np.zeros(s, dtype=np.complex128) for s in rx),
@@ -88,16 +87,11 @@ def zero_reduced(cfg: NetworkConfig) -> ReducedTransceivers:
     )
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def random_reduced(cfg: NetworkConfig, seed) -> ReducedTransceivers:
     """Reduced transceivers with i.i.d. standard complex Gaussian entries.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``.
     """
-    validate_config(cfg)
     rng = np.random.default_rng(seed)
     rx, tx = free_shapes(cfg)
     U = tuple(_complex_normal(rng, s) for s in rx)  # drawn before V: seeds pin this order
@@ -356,6 +350,14 @@ def _full_residuals(problem: Problem, ts: TransceiverSet):
         yield ts.U[k - 1].conj().T @ problem.channel[(k, j)] @ ts.V[j - 1]
 
 
+def _least_dominant(parts, n: int, d: int) -> np.ndarray:
+    """The ``d`` least-dominant eigenvectors of ``Q = sum P P^H`` over ``parts`` (``n x n``)."""
+    Q = np.zeros((n, n), dtype=np.complex128)
+    for P in parts:
+        Q += P @ P.conj().T
+    return np.linalg.eigh(Q)[1][:, :d]
+
+
 def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
                            max_iters: int = 5000, leak_tol: float = 0.0,
                            seed: int = 0, target_db: float | None = None):
@@ -383,21 +385,11 @@ def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
     def step(ts):
         U, V = list(ts.U), list(ts.V)
         for k, js in problem.by_rx.items():
-            Nk = cfg.N[k - 1]
-            Q = np.zeros((Nk, Nk), dtype=np.complex128)
-            for j in js:
-                HV = channel[(k, j)] @ V[j - 1]
-                Q += HV @ HV.conj().T
-            _, vecs = np.linalg.eigh(Q)
-            U[k - 1] = vecs[:, : cfg.d[k - 1]]
+            U[k - 1] = _least_dominant(
+                [channel[(k, j)] @ V[j - 1] for j in js], cfg.N[k - 1], cfg.d[k - 1])
         for j, ks in problem.by_tx.items():
-            Mj = cfg.M[j - 1]
-            Q = np.zeros((Mj, Mj), dtype=np.complex128)
-            for k in ks:
-                HU = channel[(k, j)].conj().T @ U[k - 1]
-                Q += HU @ HU.conj().T
-            _, vecs = np.linalg.eigh(Q)
-            V[j - 1] = vecs[:, : cfg.d[j - 1]]
+            V[j - 1] = _least_dominant(
+                [channel[(k, j)].conj().T @ U[k - 1] for k in ks], cfg.M[j - 1], cfg.d[j - 1])
         return TransceiverSet(tuple(U), tuple(V))
 
     return _trace_driver(

@@ -12,6 +12,7 @@ All output is deterministic given the flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -105,11 +106,11 @@ def _cmd_feasibility(args) -> int:
 
 def _cmd_design(args) -> int:
     cfg, pairs, seed = _load(args.config, args.seed)
-    report = feasibility_check(cfg, pairs, seed=seed)
+    channel = generate_channel(cfg, seed)
+    report = feasibility_check(cfg, pairs, channel, seed=seed)
     if not report.feasible:
         print(f"warning: configuration judged infeasible ({report.to_line()}); running anyway",
               file=sys.stderr)
-    channel = generate_channel(cfg, seed)
     rt, trace = run_gia(
         cfg, pairs, channel,
         max_iters=args.budget, leak_tol=args.leak_tol, seed=seed,
@@ -180,18 +181,19 @@ def _cmd_sweep(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="gia",
+        prog="gia", allow_abbrev=False,
         description="Interference alignment with jammers: feasibility tests, "
                     "transceiver design and randomized convergence experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("feasibility", help="decide feasibility for a config file")
+    p = add_command("feasibility", help="decide feasibility for a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_feasibility)
 
-    p = sub.add_parser("design", help="design transceivers and verify the solution")
+    p = add_command("design", help="design transceivers and verify the solution")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="trace CSV path")
     p.add_argument("--solution", default=None, help="solution dump path (default: <out>.solution.txt)")
@@ -205,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stop once this relative suppression (dB) is reached")
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("test1", help="randomized convergence trials on sampled networks")
+    p = add_command("test1", help="randomized convergence trials on sampled networks")
     p.add_argument("-n", "--trials", type=int, required=True)
     p.add_argument("--algorithm", choices=("gia", "classical"), default="gia")
     p.add_argument("--seed", type=_seed, default=0)
@@ -213,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="trial CSV path")
     p.set_defaults(func=_cmd_test1)
 
-    p = sub.add_parser("fig6", help="paired convergence traces on a benchmark configuration")
+    p = add_command("fig6", help="paired convergence traces on a benchmark configuration")
     p.add_argument("--id", type=int, choices=sorted(BENCHMARK_CONFIGS), required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rounds", type=_nonnegative(int), default=5000)
@@ -222,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_fig6)
 
-    p = sub.add_parser("sweep", help="feasibility across channel seeds and scalings")
+    p = add_command("sweep", help="feasibility across channel seeds and scalings")
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", type=_seeds, default="0,1,2,3,4,5,6,7,8,9",
                    help="comma-separated channel seeds")

@@ -349,12 +349,13 @@ def independence_probe(cfg: NetworkConfig, alignment, channel: Channel,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    seed = _check_seed(seed)
     problem = Problem(cfg, alignment, channel)
     _, _, n_constraints, _ = _layout(cfg, problem.pairs)
     if n_constraints == 0:
         return True
     for t in range(trials):
-        point = random_reduced(cfg, np.random.SeedSequence([int(seed), t]))
+        point = random_reduced(cfg, np.random.SeedSequence([seed, t]))
         if numerical_rank(_jacobian(problem, point).matrix).rank == n_constraints:
             return True
     return False

@@ -108,11 +108,7 @@ def trial_seed(master_seed: int, trial_id: int) -> int:
 
 def _split_trial_seed(seed: int) -> tuple[int, int, int]:
     # config draw, channel draw, algorithm initialization
-    return (
-        int(np.random.SeedSequence([seed, 0]).generate_state(1, np.uint64)[0]),
-        int(np.random.SeedSequence([seed, 1]).generate_state(1, np.uint64)[0]),
-        int(np.random.SeedSequence([seed, 2]).generate_state(1, np.uint64)[0]),
-    )
+    return trial_seed(seed, 0), trial_seed(seed, 1), trial_seed(seed, 2)
 
 
 def run_trial(trial_id: int, seed: int, algorithm: str,

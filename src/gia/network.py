@@ -5,8 +5,10 @@ usage: receivers are ``1..K`` and transmitters are ``1..K+J`` (the K
 legitimate transmitters first, then the J jammers).  Per-node tuples are
 stored densely, so the entry for node ``k`` lives at index ``k - 1``.
 
-A channel state is a plain dict mapping each (receiver, transmitter) pair
-``(k, j)`` - direct links included - to an ``N_k x M_j`` complex matrix.
+A configuration is checked once, when it is built: a :class:`NetworkConfig`
+that exists is valid, so nothing downstream checks it again.  A channel state
+is a plain dict mapping each (receiver, transmitter) pair ``(k, j)`` - direct
+links included - to an ``N_k x M_j`` complex matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "TransceiverSet",
     "Pair",
     "Channel",
-    "validate_config",
     "alignment_all",
     "canonical_alignment",
     "free_shapes",
@@ -50,7 +51,11 @@ class ConfigParseError(ConfigError):
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Dimensions of the legitimate network.
+    """Dimensions of the legitimate network, checked once when built.
+
+    Construction coerces the fields to ints and raises :class:`ConfigError`
+    naming the offender unless ``K >= 1``, ``J >= 0``, the tuples have the
+    right lengths, every count is positive, ``d_j <= M_j`` and ``d_k <= N_k``.
 
     Attributes
     ----------
@@ -78,6 +83,28 @@ class NetworkConfig:
         object.__setattr__(self, "M", tuple(int(x) for x in self.M))
         object.__setattr__(self, "N", tuple(int(x) for x in self.N))
         object.__setattr__(self, "d", tuple(int(x) for x in self.d))
+        if self.K < 1:
+            raise ConfigError(f"K must be positive, got {self.K}")
+        if self.J < 0:
+            raise ConfigError(f"J must be nonnegative, got {self.J}")
+        if len(self.M) != self.n_tx:
+            raise ConfigError(f"M must list K+J={self.n_tx} values, got {len(self.M)}")
+        if len(self.d) != self.n_tx:
+            raise ConfigError(f"d must list K+J={self.n_tx} values, got {len(self.d)}")
+        if len(self.N) != self.K:
+            raise ConfigError(f"N must list K={self.K} values, got {len(self.N)}")
+        for j in range(1, self.n_tx + 1):
+            if self.M[j - 1] < 1:
+                raise ConfigError(f"M_{j} must be positive, got {self.M[j - 1]}")
+            if self.d[j - 1] < 1:
+                raise ConfigError(f"d_{j} must be positive, got {self.d[j - 1]}")
+            if self.d[j - 1] > self.M[j - 1]:
+                raise ConfigError(f"d_{j}={self.d[j - 1]} exceeds transmit antennas M_{j}={self.M[j - 1]}")
+        for k in range(1, self.K + 1):
+            if self.N[k - 1] < 1:
+                raise ConfigError(f"N_{k} must be positive, got {self.N[k - 1]}")
+            if self.d[k - 1] > self.N[k - 1]:
+                raise ConfigError(f"d_{k}={self.d[k - 1]} exceeds receive antennas N_{k}={self.N[k - 1]}")
 
     @property
     def n_tx(self) -> int:
@@ -97,39 +124,12 @@ class TransceiverSet:
         object.__setattr__(self, "V", tuple(np.asarray(v, dtype=np.complex128) for v in self.V))
 
 
-def validate_config(cfg: NetworkConfig) -> None:
-    """Check all NetworkConfig invariants; raise ConfigError naming the offender."""
-    if cfg.K < 1:
-        raise ConfigError(f"K must be positive, got {cfg.K}")
-    if cfg.J < 0:
-        raise ConfigError(f"J must be nonnegative, got {cfg.J}")
-    if len(cfg.M) != cfg.n_tx:
-        raise ConfigError(f"M must list K+J={cfg.n_tx} values, got {len(cfg.M)}")
-    if len(cfg.d) != cfg.n_tx:
-        raise ConfigError(f"d must list K+J={cfg.n_tx} values, got {len(cfg.d)}")
-    if len(cfg.N) != cfg.K:
-        raise ConfigError(f"N must list K={cfg.K} values, got {len(cfg.N)}")
-    for j in range(1, cfg.n_tx + 1):
-        if cfg.M[j - 1] < 1:
-            raise ConfigError(f"M_{j} must be positive, got {cfg.M[j - 1]}")
-        if cfg.d[j - 1] < 1:
-            raise ConfigError(f"d_{j} must be positive, got {cfg.d[j - 1]}")
-        if cfg.d[j - 1] > cfg.M[j - 1]:
-            raise ConfigError(f"d_{j}={cfg.d[j - 1]} exceeds transmit antennas M_{j}={cfg.M[j - 1]}")
-    for k in range(1, cfg.K + 1):
-        if cfg.N[k - 1] < 1:
-            raise ConfigError(f"N_{k} must be positive, got {cfg.N[k - 1]}")
-        if cfg.d[k - 1] > cfg.N[k - 1]:
-            raise ConfigError(f"d_{k}={cfg.d[k - 1]} exceeds receive antennas N_{k}={cfg.N[k - 1]}")
-
-
 def alignment_all(cfg: NetworkConfig) -> tuple[Pair, ...]:
     """All cross pairs ``(k, j)``, ``k in 1..K``, ``j in 1..K+J``, ``k != j``.
 
     The returned tuple is in canonical (lexicographic) order; its length is
     ``K * (K + J - 1)``.
     """
-    validate_config(cfg)
     return tuple(
         (k, j)
         for k in range(1, cfg.K + 1)
@@ -144,7 +144,6 @@ def canonical_alignment(cfg: NetworkConfig, pairs) -> tuple[Pair, ...]:
     The canonical order fixes the row-block order of the coefficient matrix,
     so every consumer normalizes through here.
     """
-    validate_config(cfg)
     out = sorted({(int(k), int(j)) for (k, j) in pairs})
     for k, j in out:
         if not 1 <= k <= cfg.K:
@@ -158,7 +157,6 @@ def canonical_alignment(cfg: NetworkConfig, pairs) -> tuple[Pair, ...]:
 
 def scale_config(cfg: NetworkConfig, c: int) -> NetworkConfig:
     """Multiply every antenna and stream count by the positive integer ``c``."""
-    validate_config(cfg)
     c = int(c)
     if c < 1:
         raise ConfigError(f"scale factor must be a positive integer, got {c}")
@@ -178,6 +176,10 @@ def _check_seed(seed) -> int:
     return seed
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
 def generate_channel(cfg: NetworkConfig, seed: int) -> Channel:
     """Draw i.i.d. unit-variance circularly-symmetric complex Gaussian channels.
 
@@ -186,26 +188,24 @@ def generate_channel(cfg: NetworkConfig, seed: int) -> Channel:
     other links are generated or on iteration order.  Direct links ``H_kk``
     are always included.
     """
-    validate_config(cfg)
     seed = _check_seed(seed)
     channel: Channel = {}
     for k in range(1, cfg.K + 1):
         for j in range(1, cfg.n_tx + 1):
             rng = np.random.default_rng(np.random.SeedSequence([seed, k, j]))
-            shape = (cfg.N[k - 1], cfg.M[j - 1])
-            channel[(k, j)] = (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            ) / np.sqrt(2.0)
+            channel[(k, j)] = _complex_normal(rng, (cfg.N[k - 1], cfg.M[j - 1]))
     return channel
 
 
 def check_channel(cfg: NetworkConfig, channel: Channel) -> None:
-    """Verify a channel dict covers all pairs, each with the right shape and finite entries."""
+    """Verify a channel dict covers all pairs, each a finite numpy array of the right shape."""
     for k in range(1, cfg.K + 1):
         for j in range(1, cfg.n_tx + 1):
             if (k, j) not in channel:
                 raise ConfigError(f"channel state is missing pair ({k},{j})")
             h = channel[(k, j)]
+            if not isinstance(h, np.ndarray):
+                raise ConfigError(f"channel ({k},{j}) is a {type(h).__name__}, expected a numpy array")
             want = (cfg.N[k - 1], cfg.M[j - 1])
             if h.shape != want:
                 raise ConfigError(
@@ -264,7 +264,6 @@ _REQUIRED_KEYS = ("K", "J", "M", "N", "d", "alignment")
 
 def save_config(path, cfg: NetworkConfig, alignment, seed: int | None = None) -> None:
     """Write a config file; ``load_config`` round-trips it exactly."""
-    validate_config(cfg)
     pairs = canonical_alignment(cfg, alignment)
     if pairs == alignment_all(cfg):
         align_text = "all"
@@ -332,7 +331,6 @@ def load_config(path):
         N=_parse_int_list(raw["N"][1], raw["N"][0], "N"),
         d=_parse_int_list(raw["d"][1], raw["d"][0], "d"),
     )
-    validate_config(cfg)
 
     lineno, align_text = raw["alignment"]
     align_text = align_text.strip()

@@ -162,10 +162,12 @@ class TestUsageErrors:
             ["fig6", "--id", "3", "--rounds", "-1", "--out-dir", "{dir}"],
             ["design", "--config", "{cfg}", "--out", "{dir}/t.csv", "--budget", "3",
              "--tol", "nan"],
+            ["sweep", "--config", "{cfg}", "--seed", "7"],
+            ["fig6", "--id", "1", "--round", "3", "--out-dir", "{dir}"],
         ],
         ids=["bad-seed-list", "bad-scale-list", "config-is-directory", "negative-seed",
              "negative-seed-in-list", "negative-budget-test1", "negative-budget-design",
-             "negative-rounds", "nan-tol"],
+             "negative-rounds", "nan-tol", "abbreviated-seeds", "abbreviated-rounds"],
     )
     def test_exit_two_with_one_error_line(self, argv, sym_config_file, tmp_path, capsys):
         argv = [arg.format(cfg=sym_config_file, dir=tmp_path) for arg in argv]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM
+from gia.feasibility import feasibility_check
 from gia.network import (
     ConfigError,
     ConfigParseError,
@@ -16,31 +17,31 @@ from gia.network import (
     load_config,
     save_config,
     scale_config,
-    validate_config,
 )
 
 
 class TestValidateConfig:
+    """A NetworkConfig is checked when it is built, so an invalid one cannot exist."""
+
     def test_benchmark_configs_valid(self):
         for cfg in (CONFIG_SYM, CONFIG_ASYM, CONFIG_INFEASIBLE):
-            validate_config(cfg)
+            assert NetworkConfig(cfg.K, cfg.J, cfg.M, cfg.N, cfg.d) == cfg
 
     def test_jammer_config_valid(self):
-        validate_config(NetworkConfig(K=3, J=1, M=(5, 5, 5, 4), N=(6, 6, 9), d=(3, 3, 3, 2)))
+        cfg = NetworkConfig(K=3, J=1, M=(5, 5, 5, 4), N=(6, 6, 9), d=(3, 3, 3, 2))
+        assert cfg.n_tx == 4
 
     def test_stream_exceeds_antennas(self):
-        cfg = NetworkConfig(K=2, J=0, M=(3, 5), N=(5, 5), d=(4, 1))
         with pytest.raises(ConfigError, match="d_1"):
-            validate_config(cfg)
+            NetworkConfig(K=2, J=0, M=(3, 5), N=(5, 5), d=(4, 1))
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError, match="N must list"):
-            validate_config(NetworkConfig(K=3, J=0, M=(2, 2, 2), N=(2, 2), d=(1, 1, 1)))
+            NetworkConfig(K=3, J=0, M=(2, 2, 2), N=(2, 2), d=(1, 1, 1))
 
     def test_jammer_stream_bound(self):
-        cfg = NetworkConfig(K=1, J=1, M=(2, 2), N=(2,), d=(1, 3))
         with pytest.raises(ConfigError, match="d_2"):
-            validate_config(cfg)
+            NetworkConfig(K=1, J=1, M=(2, 2), N=(2,), d=(1, 3))
 
 
 class TestAlignment:
@@ -90,10 +91,16 @@ class TestProblem:
 
     def test_non_finite_channel_rejected(self):
         cfg = CONFIG_SYM
-        channel = generate_channel(cfg, 0)
-        channel[(1, 2)] = channel[(1, 2)] * np.nan
-        with pytest.raises(ConfigError, match=r"channel \(1,2\) has non-finite entries"):
-            Problem(cfg, [(1, 2)], channel)
+        for spoil, message in (
+            (lambda h: h * np.nan, r"channel \(1,2\) has non-finite entries"),
+            (lambda h: h.tolist(), r"channel \(1,2\) is a list, expected a numpy array"),
+        ):
+            channel = generate_channel(cfg, 0)
+            channel[(1, 2)] = spoil(channel[(1, 2)])
+            with pytest.raises(ConfigError, match=message):
+                Problem(cfg, [(1, 2)], channel)
+            with pytest.raises(ConfigError, match=message):
+                feasibility_check(cfg, alignment_all(cfg), channel)
 
     def test_free_shapes(self):
         cfg = NetworkConfig(K=2, J=1, M=(4, 3, 5), N=(3, 4), d=(2, 1, 2))
