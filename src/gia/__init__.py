@@ -30,7 +30,6 @@ from .feasibility import (
     check_proper,
     check_symmetric_formula,
     feasibility_check,
-    independence_probe,
 )
 from .harness import (
     BENCHMARK_CONFIGS,

@@ -272,6 +272,10 @@ def _trace_driver(state, step, leak_of, *, max_iters, leak_tol, target_db,
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    if not leak_tol >= 0:
+        raise ValueError(f"leak_tol must be nonnegative, got {leak_tol}")
+    if target_db is not None and math.isnan(target_db):
+        raise ValueError("target_db must not be NaN")
     leak0 = leak_of(state)
     norm0 = norm_db_of(state) if norm_db_of is not None else 0.0
     points = [(0, leak0, 0.0)]

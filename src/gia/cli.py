@@ -82,6 +82,17 @@ def _nonnegative(kind):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _ints(text: str) -> tuple[int, ...]:
     """argparse type: comma-separated integers."""
     try:
@@ -111,11 +122,10 @@ def _cmd_design(args) -> int:
     if not report.feasible:
         print(f"warning: configuration judged infeasible ({report.to_line()}); running anyway",
               file=sys.stderr)
-    rt, trace = run_gia(
-        cfg, pairs, channel,
-        max_iters=args.budget, leak_tol=args.leak_tol, seed=seed,
-        target_db=args.target_db,
-    )
+    # every residual entry is at most sqrt(leakage), so stopping below tol**2
+    # leaves each one within the verification tolerance
+    rt, trace = run_gia(cfg, pairs, channel, max_iters=args.budget,
+                        leak_tol=args.tol ** 2, seed=seed)
     trace.write_csv(args.out)
     reached = trace.final_i_db <= PASS_THRESHOLD_DB
     ts = lift_transceivers(rt)
@@ -200,11 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--budget", type=_nonnegative(int), default=5000, help="maximum rounds")
     p.add_argument("--tol", type=_nonnegative(float), default=1e-6,
-                   help="verification residual tolerance")
-    p.add_argument("--leak-tol", type=float, default=1e-12, dest="leak_tol",
-                   help="absolute leakage stopping tolerance")
-    p.add_argument("--target-db", type=float, default=None, dest="target_db",
-                   help="stop once this relative suppression (dB) is reached")
+                   help="verification residual tolerance; the run stops once leakage < tol**2")
     p.set_defaults(func=_cmd_design)
 
     p = add_command("test1", help="randomized convergence trials on sampled networks")
@@ -219,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, choices=sorted(BENCHMARK_CONFIGS), required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rounds", type=_nonnegative(int), default=5000)
-    p.add_argument("--stop-db", type=float, default=None, dest="stop_db",
+    p.add_argument("--stop-db", type=_finite, default=None, dest="stop_db",
                    help="optional early stop: each trace ends once it reaches this level")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_fig6)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aligner import ReducedTransceivers, hv_blocks, random_reduced, uh_blocks, zero_reduced
+from .aligner import ReducedTransceivers, hv_blocks, uh_blocks, zero_reduced
 from .linalg import numerical_rank
 from .network import (
     Channel,
@@ -55,7 +55,6 @@ __all__ = [
     "check_divisible_formula",
     "feasibility_check",
     "build_jacobian",
-    "independence_probe",
 ]
 
 @dataclass(frozen=True)
@@ -338,24 +337,3 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     _, _, n_constraints, n_variables = _layout(cfg, pairs)
     return FeasibilityReport(proper, n_constraints, n_variables, -1, method, 0.0)
 
-
-def independence_probe(cfg: NetworkConfig, alignment, channel: Channel,
-                       trials: int = 3, seed: int = 0) -> bool:
-    """Randomized constraint-independence test via the Jacobian rank.
-
-    Full row rank is an open condition, so finding a single random point
-    where the Jacobian has full row rank certifies independence; ``trials``
-    points are sampled before giving up.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    seed = _check_seed(seed)
-    problem = Problem(cfg, alignment, channel)
-    _, _, n_constraints, _ = _layout(cfg, problem.pairs)
-    if n_constraints == 0:
-        return True
-    for t in range(trials):
-        point = random_reduced(cfg, np.random.SeedSequence([seed, t]))
-        if numerical_rank(_jacobian(problem, point).matrix).rank == n_constraints:
-            return True
-    return False

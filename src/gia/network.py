@@ -307,7 +307,10 @@ def load_config(path):
         The alignment alias ``all`` expands to every cross pair.
     """
     raw: dict[str, tuple[int, str]] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigParseError(f"{path}: not a UTF-8 text file") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -320,9 +320,14 @@ class TestRunGia:
 
     @pytest.mark.parametrize("run", [run_gia, run_classical_baseline])
     def test_negative_budget_rejected(self, run):
+        # also a NaN or negative leak_tol and a NaN target_db, which would
+        # otherwise never stop the run and read as unset
         cfg = CONFIG_SYM
-        with pytest.raises(ValueError, match="max_iters"):
-            run(cfg, alignment_all(cfg), generate_channel(cfg, 0), max_iters=-1)
+        channel = generate_channel(cfg, 0)
+        for stop in ({"max_iters": -1}, {"leak_tol": math.nan}, {"leak_tol": -1.0},
+                     {"target_db": math.nan}):
+            with pytest.raises(ValueError, match=next(iter(stop))):
+                run(cfg, alignment_all(cfg), channel, **stop)
 
 
 class TestClassicalBaseline:

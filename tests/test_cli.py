@@ -70,6 +70,21 @@ class TestDesignCommand:
         # identity block on top of every lifted matrix
         assert text[1].startswith("1.0+0.0i")
 
+    @pytest.mark.parametrize("tol, rounds", [(None, 27), ("1e-3", 14)])
+    def test_stops_at_tol_squared(self, tmp_path, capsys, tol, rounds):
+        # leakage < tol**2 bounds every residual entry by tol, so the run
+        # stops as soon as verification at --tol can pass
+        cfg = NetworkConfig(K=3, J=0, M=(5, 5, 5), N=(5, 5, 5), d=(2, 2, 2))
+        path = tmp_path / "proper.cfg"
+        save_config(path, cfg, alignment_all(cfg), seed=3)
+        argv = ["design", "--config", str(path), "--out", str(tmp_path / "trace.csv")]
+        code = main(argv + (["--tol", tol] if tol else []))
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert f"rounds_used = {rounds}" in printed
+        assert "stop_reason = tolerance" in printed
+        assert "verification = pass" in printed
+
     def test_budget_zero_fails_with_initial_trace(self, easy_config_file, tmp_path):
         out = tmp_path / "trace.csv"
         code = main(["design", "--config", easy_config_file, "--out", str(out), "--budget", "0"])
@@ -164,12 +179,20 @@ class TestUsageErrors:
              "--tol", "nan"],
             ["sweep", "--config", "{cfg}", "--seed", "7"],
             ["fig6", "--id", "1", "--round", "3", "--out-dir", "{dir}"],
+            ["feasibility", "--config", "{dir}/binary.cfg"],
+            ["fig6", "--id", "1", "--rounds", "5", "--stop-db", "nan", "--out-dir", "{dir}"],
+            ["fig6", "--id", "1", "--rounds", "5", "--stop-db", "inf", "--out-dir", "{dir}"],
+            ["design", "--config", "{cfg}", "--out", "{dir}/t.csv", "--leak-tol", "1e-9"],
+            ["design", "--config", "{cfg}", "--out", "{dir}/t.csv", "--target-db", "-80"],
         ],
         ids=["bad-seed-list", "bad-scale-list", "config-is-directory", "negative-seed",
              "negative-seed-in-list", "negative-budget-test1", "negative-budget-design",
-             "negative-rounds", "nan-tol", "abbreviated-seeds", "abbreviated-rounds"],
+             "negative-rounds", "nan-tol", "abbreviated-seeds", "abbreviated-rounds",
+             "non-utf8-config", "nan-stop-db", "inf-stop-db", "removed-leak-tol",
+             "removed-target-db"],
     )
     def test_exit_two_with_one_error_line(self, argv, sym_config_file, tmp_path, capsys):
+        (tmp_path / "binary.cfg").write_bytes(b"K = 3\xff\xfe\n")
         argv = [arg.format(cfg=sym_config_file, dir=tmp_path) for arg in argv]
         try:
             code = main(argv)

@@ -12,7 +12,6 @@ from gia.feasibility import (
     check_proper,
     check_symmetric_formula,
     feasibility_check,
-    independence_probe,
 )
 from gia.linalg import numerical_rank
 from gia.network import ConfigError, NetworkConfig, Problem, alignment_all, generate_channel
@@ -445,20 +444,6 @@ class TestJacobian:
         channel = generate_channel(CONFIG_SYM, 0)
         jac = build_jacobian(CONFIG_SYM, (), channel, zero_reduced(CONFIG_SYM))
         assert jac.shape == (0, 54)
-
-
-class TestIndependenceProbe:
-    def test_feasible_config_independent(self):
-        channel = generate_channel(CONFIG_SYM, 0)
-        assert independence_probe(CONFIG_SYM, alignment_all(CONFIG_SYM), channel)
-
-    def test_infeasible_config_dependent(self):
-        channel = generate_channel(CONFIG_INFEASIBLE, 0)
-        assert not independence_probe(CONFIG_INFEASIBLE, alignment_all(CONFIG_INFEASIBLE), channel, trials=5)
-
-    def test_empty_alignment_vacuous(self):
-        channel = generate_channel(CONFIG_SYM, 0)
-        assert independence_probe(CONFIG_SYM, (), channel)
 
 
 class TestVerdictInvariance:

@@ -34,3 +34,54 @@ def test_unused_import_detected():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Names bound by the module's own top-level statements."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names
+
+
+def declared_all(tree: ast.Module) -> list[str]:
+    """The module's ``__all__`` list; every module in the package declares one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no __all__ assignment")
+
+
+def stale_exports(source: str) -> list[str]:
+    """Names listed in ``__all__`` that the module does not bind at top level."""
+    tree = ast.parse(source)
+    bound = top_level_names(tree)
+    return [name for name in declared_all(tree) if name not in bound]
+
+
+def test_stale_export_detected():
+    assert stale_exports('import os\nX: int = 1\nclass C: pass\n'
+                         '__all__ = ["os", "X", "C", "gone"]\n') == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_all_names_are_bound(path):
+    assert stale_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = SRC / f"{node.module}.py"
+            exported = declared_all(ast.parse(module.read_text(encoding="utf-8")))
+            missing.extend(f"{node.module}.{a.name}" for a in node.names if a.name not in exported)
+    assert missing == []
