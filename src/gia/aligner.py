@@ -11,6 +11,12 @@ nonincreasing along the iteration.
 The classical iterative baseline (alternating eigenvector updates under
 orthonormality, exploiting uplink-downlink reciprocity) is included for
 comparison runs.
+
+Both algorithms run the same sweep, :func:`_update_side`, with their own
+per-node solve.  The transmit sweep is the receive sweep of the reciprocal
+network, whose links are ``H_kj^H``.  One residual routine forms every
+``U_k^H H_kj V_j``; leakage, the residual vector, the classical leakage and
+solution verification all take their products from it.
 """
 
 from __future__ import annotations
@@ -41,8 +47,6 @@ __all__ = [
     "STALL_REL_CHANGE",
     "zero_reduced",
     "random_reduced",
-    "hv_blocks",
-    "uh_blocks",
     "residual_matrix",
     "residual_vector",
     "leakage",
@@ -108,34 +112,20 @@ def _check_point(cfg: NetworkConfig, rt: ReducedTransceivers) -> None:
                 raise ValueError(f"reduced {name} {node} has shape {block.shape}, expected {want}")
 
 
-def hv_blocks(Hkj: np.ndarray, dk: int, dj: int, Vt: np.ndarray):
-    """Split ``H_kj @ [I; V~_j]`` at row ``dk``.
-
-    Returns ``(B, A)`` with ``B`` the top ``dk x dj`` block and ``A`` the
-    bottom ``(N_k-dk) x dj`` block.
-    """
-    B = Hkj[:dk, :dj] + Hkj[:dk, dj:] @ Vt
-    A = Hkj[dk:, :dj] + Hkj[dk:, dj:] @ Vt
-    return B, A
+def _lift(block: np.ndarray) -> np.ndarray:
+    """``[I; block]``: the identity stacked on top of a free block."""
+    return np.vstack([np.eye(block.shape[1], dtype=np.complex128), block])
 
 
-def uh_blocks(Hkj: np.ndarray, dk: int, dj: int, Ut: np.ndarray):
-    """Split ``[I; U~_k]^H @ H_kj`` at column ``dj``.
-
-    Returns ``(D, C)`` with ``D`` the left ``dk x dj`` block and ``C`` the
-    right ``dk x (M_j-dj)`` block.
-    """
-    UtH = Ut.conj().T
-    D = Hkj[:dk, :dj] + UtH @ Hkj[dk:, :dj]
-    C = Hkj[:dk, dj:] + UtH @ Hkj[dk:, dj:]
-    return D, C
+def _full_residuals(channel: Channel, ts: TransceiverSet, pairs):
+    """``U_k^H H_kj V_j`` of the full transceivers, per pair of ``pairs`` in order."""
+    for k, j in pairs:
+        yield ts.U[k - 1].conj().T @ channel[(k, j)] @ ts.V[j - 1]
 
 
 def residual_matrix(problem: Problem, rt: ReducedTransceivers, k: int, j: int) -> np.ndarray:
     """The ``d_k x d_j`` post-processing matrix ``U_k^H H_kj V_j`` of the lifted transceivers."""
-    d = problem.cfg.d
-    B, A = hv_blocks(problem.channel[(k, j)], d[k - 1], d[j - 1], rt.V[j - 1])
-    return B + rt.U[k - 1].conj().T @ A
+    return next(_full_residuals(problem.channel, lift_transceivers(rt), [(k, j)]))
 
 
 def residual_vector(problem: Problem, rt: ReducedTransceivers) -> np.ndarray:
@@ -147,67 +137,66 @@ def residual_vector(problem: Problem, rt: ReducedTransceivers) -> np.ndarray:
     coefficient matrix and of the Jacobian.
     """
     _check_point(problem.cfg, rt)
-    parts = [residual_matrix(problem, rt, k, j).reshape(-1) for k, j in problem.pairs]
-    if not parts:
-        return np.zeros(0, dtype=np.complex128)
-    return np.concatenate(parts)
+    ts = lift_transceivers(rt)
+    return np.concatenate([np.zeros(0, dtype=np.complex128)] + [
+        R.reshape(-1) for R in _full_residuals(problem.channel, ts, problem.pairs)])
 
 
 def leakage(problem: Problem, rt: ReducedTransceivers) -> float:
     """Total interference leakage: sum of squared residual magnitudes over the alignment set."""
     _check_point(problem.cfg, rt)
-    return sum(
-        frobenius_norm_sq(residual_matrix(problem, rt, k, j)) for k, j in problem.pairs
-    )
+    return sum(frobenius_norm_sq(R) for R in
+               _full_residuals(problem.channel, lift_transceivers(rt), problem.pairs))
+
+
+def _update_side(groups, link, partners, own, solve) -> tuple[np.ndarray, ...]:
+    """One sweep: node ``n`` of ``groups`` (``by_rx`` or ``by_tx``) gets ``solve(n, parts)``.
+
+    ``parts`` is ``[link(n, p) @ partners[p-1] for p in groups[n]]``; other
+    nodes keep their block of ``own``.  The receive side has ``link(k, j) =
+    H_kj``; the transmit side is the receive side of the reciprocal network,
+    ``link(j, k) = H_kj^H``.
+    """
+    new = list(own)
+    for n, ps in groups.items():
+        new[n - 1] = solve(n, [link(n, p) @ partners[p - 1] for p in ps])
+    return tuple(new)
+
+
+def _ls_solve(parts, d: int) -> np.ndarray:
+    """``X = -(G_top G_bot^+)^H`` with ``G = [parts]`` split at row ``d``: the
+    least-squares minimizer of the node's residuals ``G_top + X^H G_bot``."""
+    G = np.hstack(parts)
+    return -(G[:d] @ pseudo_inverse(G[d:])).conj().T
 
 
 def receiver_update(problem: Problem, rt: ReducedTransceivers) -> ReducedTransceivers:
     """Exact leakage minimizer over every reduced decoder, precoders held fixed.
 
-    For each receiver ``k`` with at least one aligned pair, the per-pair
-    blocks ``A_kj`` (bottom) and ``B_kj`` (top) of ``H_kj V_j`` are
-    concatenated horizontally over the aligned transmitters and the decoder
-    becomes ``U~_k = -(B_k A_k^+)^H``; the pseudo-inverse makes the update
-    well defined even when ``A_k`` is rank deficient.  Receivers with no
-    aligned pair keep their block.
+    For each receiver ``k`` with at least one aligned pair, ``G_k`` stacks
+    ``H_kj V_j`` horizontally over the aligned transmitters and the decoder
+    becomes ``U~_k = -(B_k A_k^+)^H`` with ``B_k`` the top ``d_k`` rows of
+    ``G_k`` and ``A_k`` the rest; the pseudo-inverse makes the update well
+    defined even when ``A_k`` is rank deficient.  Receivers with no aligned
+    pair keep their block.
     """
-    cfg, channel = problem.cfg, problem.channel
-    _check_point(cfg, rt)
-    new_U = list(rt.U)
-    for k, js in problem.by_rx.items():
-        dk = cfg.d[k - 1]
-        A_parts, B_parts = [], []
-        for j in js:
-            B, A = hv_blocks(channel[(k, j)], dk, cfg.d[j - 1], rt.V[j - 1])
-            A_parts.append(A)
-            B_parts.append(B)
-        A_k = np.hstack(A_parts)
-        B_k = np.hstack(B_parts)
-        new_U[k - 1] = -(B_k @ pseudo_inverse(A_k)).conj().T
-    return ReducedTransceivers(tuple(new_U), rt.V)
+    _check_point(problem.cfg, rt)
+    U = _update_side(problem.by_rx, lambda k, j: problem.channel[k, j], [_lift(v) for v in rt.V],
+                     rt.U, lambda k, parts: _ls_solve(parts, problem.cfg.d[k - 1]))
+    return ReducedTransceivers(U, rt.V)
 
 
 def transmitter_update(problem: Problem, rt: ReducedTransceivers) -> ReducedTransceivers:
     """Exact leakage minimizer over every reduced precoder, decoders held fixed.
 
-    Mirror image of :func:`receiver_update`: per-pair blocks ``C_kj``
-    (right) and ``D_kj`` (left) of ``U_k^H H_kj`` are stacked vertically
-    over the aligned receivers and ``V~_j = -C_j^+ D_j``.
+    :func:`receiver_update` on the reciprocal network: ``G_j`` stacks
+    ``H_kj^H U_k`` over the aligned receivers and ``V~_j = -(B_j A_j^+)^H``.
     """
-    cfg, channel = problem.cfg, problem.channel
-    _check_point(cfg, rt)
-    new_V = list(rt.V)
-    for j, ks in problem.by_tx.items():
-        dj = cfg.d[j - 1]
-        C_parts, D_parts = [], []
-        for k in ks:
-            D, C = uh_blocks(channel[(k, j)], cfg.d[k - 1], dj, rt.U[k - 1])
-            C_parts.append(C)
-            D_parts.append(D)
-        C_j = np.vstack(C_parts)
-        D_j = np.vstack(D_parts)
-        new_V[j - 1] = -pseudo_inverse(C_j) @ D_j
-    return ReducedTransceivers(rt.U, tuple(new_V))
+    _check_point(problem.cfg, rt)
+    V = _update_side(problem.by_tx, lambda j, k: problem.channel[k, j].conj().T,
+                     [_lift(u) for u in rt.U], rt.V,
+                     lambda j, parts: _ls_solve(parts, problem.cfg.d[j - 1]))
+    return ReducedTransceivers(rt.U, V)
 
 
 def normalized_interference_db(leakage_initial: float, leakage_t: float) -> float:
@@ -348,12 +337,6 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
     )
 
 
-def _full_residuals(problem: Problem, ts: TransceiverSet):
-    """``U_k^H H_kj V_j`` of the full transceivers, per aligned pair in canonical order."""
-    for k, j in problem.pairs:
-        yield ts.U[k - 1].conj().T @ problem.channel[(k, j)] @ ts.V[j - 1]
-
-
 def _least_dominant(parts, n: int, d: int) -> np.ndarray:
     """The ``d`` least-dominant eigenvectors of ``Q = sum P P^H`` over ``parts`` (``n x n``)."""
     Q = np.zeros((n, n), dtype=np.complex128)
@@ -387,27 +370,23 @@ def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
     )
 
     def step(ts):
-        U, V = list(ts.U), list(ts.V)
-        for k, js in problem.by_rx.items():
-            U[k - 1] = _least_dominant(
-                [channel[(k, j)] @ V[j - 1] for j in js], cfg.N[k - 1], cfg.d[k - 1])
-        for j, ks in problem.by_tx.items():
-            V[j - 1] = _least_dominant(
-                [channel[(k, j)].conj().T @ U[k - 1] for k in ks], cfg.M[j - 1], cfg.d[j - 1])
-        return TransceiverSet(tuple(U), tuple(V))
+        U = _update_side(problem.by_rx, lambda k, j: channel[k, j], ts.V, ts.U,
+                         lambda k, parts: _least_dominant(parts, cfg.N[k - 1], cfg.d[k - 1]))
+        V = _update_side(problem.by_tx, lambda j, k: channel[k, j].conj().T, U, ts.V,
+                         lambda j, parts: _least_dominant(parts, cfg.M[j - 1], cfg.d[j - 1]))
+        return TransceiverSet(U, V)
 
     return _trace_driver(
         TransceiverSet(U0, V0), step,
-        lambda ts: sum(frobenius_norm_sq(R) for R in _full_residuals(problem, ts)),
+        lambda ts: sum(frobenius_norm_sq(R) for R in
+                       _full_residuals(channel, ts, problem.pairs)),
         max_iters=max_iters, leak_tol=leak_tol, target_db=target_db,
     )
 
 
 def lift_transceivers(rt: ReducedTransceivers) -> TransceiverSet:
     """Stack the identity on top of each free block: ``U_k = [I; U~_k]``, ``V_j = [I; V~_j]``."""
-    U = tuple(np.vstack([np.eye(u.shape[1], dtype=np.complex128), u]) for u in rt.U)
-    V = tuple(np.vstack([np.eye(v.shape[1], dtype=np.complex128), v]) for v in rt.V)
-    return TransceiverSet(U, V)
+    return TransceiverSet(tuple(map(_lift, rt.U)), tuple(map(_lift, rt.V)))
 
 
 @dataclass(frozen=True)
@@ -434,7 +413,7 @@ def verify_solution(cfg: NetworkConfig, alignment, channel: Channel,
     problem = Problem(cfg, alignment, channel)
     failures: list[str] = []
     max_res = 0.0
-    for R in _full_residuals(problem, ts):
+    for R in _full_residuals(channel, ts, problem.pairs):
         if R.size:
             max_res = max(max_res, float(np.abs(R).max()))
     if max_res > tol:

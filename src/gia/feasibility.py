@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aligner import ReducedTransceivers, hv_blocks, uh_blocks, zero_reduced
+from .aligner import ReducedTransceivers, zero_reduced
 from .linalg import numerical_rank
 from .network import (
     Channel,
@@ -122,13 +122,14 @@ def _layout(cfg: NetworkConfig, pairs) -> tuple[dict[Pair, int], dict[tuple[str,
 
 
 def _jacobian(problem: Problem, point: ReducedTransceivers) -> CoefficientMatrix:
-    cfg, channel = problem.cfg, problem.channel
+    cfg = problem.cfg
     row_index, col_index, n_rows, n_vars = _layout(cfg, problem.pairs)
     mat = np.zeros((n_rows, n_vars), dtype=np.complex128)
     for k, j in problem.pairs:
         dk, dj = cfg.d[k - 1], cfg.d[j - 1]
-        _, A = hv_blocks(channel[(k, j)], dk, dj, point.V[j - 1])
-        _, C = uh_blocks(channel[(k, j)], dk, dj, point.U[k - 1])
+        H = problem.channel[(k, j)]
+        A = H[dk:, :dj] + H[dk:, dj:] @ point.V[j - 1]
+        C = H[:dk, dj:] + point.U[k - 1].conj().T @ H[dk:, dj:]
         bu = np.kron(np.eye(dk), A.T)
         bv = np.vstack([np.kron(np.eye(dj), C[p : p + 1, :]) for p in range(dk)])
         r, cu, cv = row_index[(k, j)], col_index[("U", k)], col_index[("V", j)]

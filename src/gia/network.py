@@ -13,6 +13,7 @@ links included - to an ``N_k x M_j`` complex matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,13 +50,22 @@ class ConfigParseError(ConfigError):
     """A config file could not be parsed; the message names the line."""
 
 
+def _index(value, name: str, error=ConfigError) -> int:
+    """``value`` as an int: ints and numpy integers pass, anything else raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Dimensions of the legitimate network, checked once when built.
 
-    Construction coerces the fields to ints and raises :class:`ConfigError`
-    naming the offender unless ``K >= 1``, ``J >= 0``, the tuples have the
-    right lengths, every count is positive, ``d_j <= M_j`` and ``d_k <= N_k``.
+    Construction coerces the fields to ints, rejecting non-integers such as
+    floats, and raises :class:`ConfigError` naming the offender unless
+    ``K >= 1``, ``J >= 0``, the tuples have the right lengths, every count is
+    positive, ``d_j <= M_j`` and ``d_k <= N_k``.
 
     Attributes
     ----------
@@ -78,11 +88,11 @@ class NetworkConfig:
     d: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "K", int(self.K))
-        object.__setattr__(self, "J", int(self.J))
-        object.__setattr__(self, "M", tuple(int(x) for x in self.M))
-        object.__setattr__(self, "N", tuple(int(x) for x in self.N))
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
+        for name in ("K", "J"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
+        for name in ("M", "N", "d"):
+            object.__setattr__(self, name, tuple(
+                _index(x, f"{name}_{i}") for i, x in enumerate(getattr(self, name), start=1)))
         if self.K < 1:
             raise ConfigError(f"K must be positive, got {self.K}")
         if self.J < 0:
@@ -144,7 +154,8 @@ def canonical_alignment(cfg: NetworkConfig, pairs) -> tuple[Pair, ...]:
     The canonical order fixes the row-block order of the coefficient matrix,
     so every consumer normalizes through here.
     """
-    out = sorted({(int(k), int(j)) for (k, j) in pairs})
+    out = sorted({(_index(k, "alignment pair entry"), _index(j, "alignment pair entry"))
+                  for (k, j) in pairs})
     for k, j in out:
         if not 1 <= k <= cfg.K:
             raise ConfigError(f"alignment pair ({k},{j}): receiver index out of range 1..{cfg.K}")
@@ -157,7 +168,7 @@ def canonical_alignment(cfg: NetworkConfig, pairs) -> tuple[Pair, ...]:
 
 def scale_config(cfg: NetworkConfig, c: int) -> NetworkConfig:
     """Multiply every antenna and stream count by the positive integer ``c``."""
-    c = int(c)
+    c = _index(c, "scale factor")
     if c < 1:
         raise ConfigError(f"scale factor must be a positive integer, got {c}")
     return NetworkConfig(
@@ -170,7 +181,7 @@ def scale_config(cfg: NetworkConfig, c: int) -> NetworkConfig:
 
 
 def _check_seed(seed) -> int:
-    seed = int(seed)
+    seed = _index(seed, "seed", ValueError)
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed

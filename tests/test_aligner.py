@@ -201,6 +201,38 @@ class TestTransmitterUpdate:
         np.testing.assert_array_equal(out.V[0], rt.V[0])
         assert not np.array_equal(out.V[1], rt.V[1])
 
+    def test_exact_minimizer_first_order_optimality(self):
+        cfg = CONFIG_SYM
+        problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, 2))
+        rt = transmitter_update(problem, random_reduced(cfg, 3))
+        base = leakage(problem, rt)
+        rng = np.random.default_rng(4)
+        for _ in range(25):
+            delta = tuple(
+                v + 1e-5 * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
+                for v in rt.V
+            )
+            assert leakage(problem, ReducedTransceivers(rt.U, delta)) >= base - 1e-12
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["all-pairs", "partial"])
+    def test_is_receiver_update_of_reciprocal_network(self, partial):
+        # reciprocal network: M and N swapped, pairs transposed, H'_jk = H_kj^H;
+        # its decoders are the original precoders and vice versa
+        cfg = NetworkConfig(K=3, J=0, M=(4, 5, 3), N=(5, 3, 4), d=(2, 1, 1))
+        pairs = ((1, 2), (2, 1), (3, 2)) if partial else alignment_all(cfg)
+        channel = generate_channel(cfg, 21)
+        recip = NetworkConfig(K=3, J=0, M=cfg.N, N=cfg.M, d=cfg.d)
+        recip_channel = {(j, k): h.conj().T for (k, j), h in channel.items()}
+        recip_pairs = [(j, k) for k, j in pairs]
+        rt = random_reduced(cfg, 22)
+        out = transmitter_update(Problem(cfg, pairs, channel), rt)
+        mirror = receiver_update(Problem(recip, recip_pairs, recip_channel),
+                                 ReducedTransceivers(rt.V, rt.U))
+        for v, u in zip(out.V, mirror.U):
+            assert np.linalg.norm(v - u) <= 1e-12 * np.linalg.norm(v)
+        for a, b in zip(out.U, mirror.V):
+            np.testing.assert_array_equal(a, b)
+
     def test_jammer_underdetermined_exact_solve(self):
         # jammer with M_j - d_j >= d_k d_j zeroes its pair in one update
         cfg = NetworkConfig(K=1, J=1, M=(2, 4), N=(2,), d=(2, 1))

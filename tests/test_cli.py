@@ -70,10 +70,11 @@ class TestDesignCommand:
         # identity block on top of every lifted matrix
         assert text[1].startswith("1.0+0.0i")
 
-    @pytest.mark.parametrize("tol, rounds", [(None, 27), ("1e-3", 14)])
+    @pytest.mark.parametrize("tol, rounds", [(None, 27), ("1e-3", 14), ("1e-1", 5)])
     def test_stops_at_tol_squared(self, tmp_path, capsys, tol, rounds):
         # leakage < tol**2 bounds every residual entry by tol, so the run
-        # stops as soon as verification at --tol can pass
+        # stops as soon as verification at --tol can pass, and passing
+        # verification is what makes the design a success
         cfg = NetworkConfig(K=3, J=0, M=(5, 5, 5), N=(5, 5, 5), d=(2, 2, 2))
         path = tmp_path / "proper.cfg"
         save_config(path, cfg, alignment_all(cfg), seed=3)
@@ -84,6 +85,7 @@ class TestDesignCommand:
         assert f"rounds_used = {rounds}" in printed
         assert "stop_reason = tolerance" in printed
         assert "verification = pass" in printed
+        assert (tmp_path / "trace.csv.solution.txt").exists()
 
     def test_budget_zero_fails_with_initial_trace(self, easy_config_file, tmp_path):
         out = tmp_path / "trace.csv"

@@ -395,9 +395,12 @@ class TestFeasibilityCheck:
         assert report.feasible
 
     def test_negative_seed_rejected_before_fast_paths(self):
-        # the symmetric formula decides this network without drawing a channel
-        with pytest.raises(ValueError):
-            feasibility_check(CONFIG_SYM, alignment_all(CONFIG_SYM), seed=-1)
+        # the symmetric formula decides this network without drawing a channel;
+        # a fractional seed is rejected too, not truncated
+        for seed in (-1, 0.5):
+            with pytest.raises(ValueError):
+                feasibility_check(CONFIG_SYM, alignment_all(CONFIG_SYM), seed=seed)
+        assert feasibility_check(CONFIG_SYM, alignment_all(CONFIG_SYM), seed=np.int64(0)).feasible
 
     @pytest.mark.parametrize("cfg", [CONFIG_SYM, CONFIG_INFEASIBLE], ids=["fast-path", "rank-test"])
     def test_supplied_channel_checked_before_fast_paths(self, cfg):

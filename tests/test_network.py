@@ -30,10 +30,21 @@ class TestValidateConfig:
     def test_jammer_config_valid(self):
         cfg = NetworkConfig(K=3, J=1, M=(5, 5, 5, 4), N=(6, 6, 9), d=(3, 3, 3, 2))
         assert cfg.n_tx == 4
+        # numpy integers are integers
+        i64 = np.int64
+        assert NetworkConfig(K=i64(3), J=i64(1), M=(5, 5, 5, i64(4)), N=(6, 6, i64(9)),
+                             d=(3, 3, 3, i64(2))) == cfg
 
     def test_stream_exceeds_antennas(self):
         with pytest.raises(ConfigError, match="d_1"):
             NetworkConfig(K=2, J=0, M=(3, 5), N=(5, 5), d=(4, 1))
+
+    @pytest.mark.parametrize("field, bad", [("K", {"K": 2.5}), ("M_1", {"M": (2.9, 2)}),
+                                            ("d_2", {"d": (1, 1.0)})], ids=["K", "M", "d"])
+    def test_non_integer_rejected(self, field, bad):
+        # a float is not truncated to an integer
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            NetworkConfig(**{"K": 2, "J": 0, "M": (2, 2), "N": (2, 2), "d": (1, 1), **bad})
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError, match="N must list"):
@@ -59,6 +70,7 @@ class TestAlignment:
     def test_canonical_sorts_and_dedupes(self):
         pairs = canonical_alignment(CONFIG_SYM, [(2, 1), (1, 3), (2, 1)])
         assert pairs == ((1, 3), (2, 1))
+        assert canonical_alignment(CONFIG_SYM, [(np.int64(2), 1), (1, np.int64(3))]) == pairs
 
     def test_canonical_rejects_direct_link(self):
         with pytest.raises(ConfigError, match="direct"):
@@ -67,6 +79,9 @@ class TestAlignment:
     def test_canonical_rejects_out_of_range(self):
         with pytest.raises(ConfigError, match="out of range"):
             canonical_alignment(CONFIG_SYM, [(1, 4)])
+        # a fractional index is not truncated into range
+        with pytest.raises(ConfigError, match="alignment pair entry must be an integer"):
+            canonical_alignment(CONFIG_SYM, [(1.9, 2)])
 
 
 class TestProblem:
@@ -116,6 +131,7 @@ class TestScaleConfig:
 
     def test_identity(self):
         assert scale_config(CONFIG_ASYM, 1) == CONFIG_ASYM
+        assert scale_config(CONFIG_ASYM, np.int64(1)) == CONFIG_ASYM
 
     def test_triple_asymmetric(self):
         scaled = scale_config(CONFIG_ASYM, 3)
@@ -126,6 +142,9 @@ class TestScaleConfig:
     def test_zero_rejected(self):
         with pytest.raises(ConfigError):
             scale_config(CONFIG_SYM, 0)
+        # and a fractional factor is not truncated to 1
+        with pytest.raises(ConfigError, match="scale factor must be an integer"):
+            scale_config(CONFIG_SYM, 1.5)
 
 
 class TestGenerateChannel:
@@ -164,6 +183,10 @@ class TestGenerateChannel:
         a = generate_channel(CONFIG_SYM, 0)
         b = generate_channel(CONFIG_SYM, 1)
         assert not np.array_equal(a[(1, 2)], b[(1, 2)])
+        np.testing.assert_array_equal(generate_channel(CONFIG_SYM, np.int64(1))[(1, 2)], b[(1, 2)])
+        # a fractional seed is not truncated to another seed's draw
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            generate_channel(CONFIG_SYM, 2.9)
 
 
 class TestConfigFiles:
