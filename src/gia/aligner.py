@@ -12,11 +12,13 @@ The classical iterative baseline (alternating eigenvector updates under
 orthonormality, exploiting uplink-downlink reciprocity) is included for
 comparison runs.
 
-Both algorithms run the same sweep, :func:`_update_side`, with their own
-per-node solve.  The transmit sweep is the receive sweep of the reciprocal
-network, whose links are ``H_kj^H``.  One residual routine forms every
-``U_k^H H_kj V_j``; leakage, the residual vector, the classical leakage and
-solution verification all take their products from it.
+Both algorithms run one round loop, :func:`_alternate`, on full
+transceivers, each with its own per-node solve.  ALS lifts its start once
+and returns the free blocks: the reduced variables live only at the API
+edge.  Every sweep is :func:`_update_side`; the transmit sweep is the receive
+sweep of the reciprocal network, whose links are ``H_kj^H``.  One residual
+routine forms every ``U_k^H H_kj V_j``; leakage, the residual vector, the
+round loop and solution verification all take their products from it.
 """
 
 from __future__ import annotations
@@ -102,14 +104,16 @@ def random_reduced(cfg: NetworkConfig, seed) -> ReducedTransceivers:
     return ReducedTransceivers(U, tuple(_complex_normal(rng, s) for s in tx))
 
 
-def _check_point(cfg: NetworkConfig, rt: ReducedTransceivers) -> None:
-    rx, tx = free_shapes(cfg)
-    if len(rt.U) != len(rx) or len(rt.V) != len(tx):
-        raise ValueError("reduced transceivers do not match the configuration")
-    for name, blocks, shapes in (("decoder", rt.U, rx), ("precoder", rt.V, tx)):
-        for node, (block, want) in enumerate(zip(blocks, shapes), start=1):
-            if block.shape != want:
-                raise ValueError(f"reduced {name} {node} has shape {block.shape}, expected {want}")
+def _check_point(point, shapes, kind: str) -> None:
+    """Raise ``ValueError`` naming the first block of ``point`` whose shape differs from ``shapes``.
+
+    ``shapes`` is ``(rx, tx)``: :func:`free_shapes` for a reduced point, else ``(N_k, d_k)``, ``(M_j, d_j)``."""
+    for name, blocks, want in (("decoder", point.U, shapes[0]), ("precoder", point.V, shapes[1])):
+        if len(blocks) != len(want):
+            raise ValueError(f"{kind} transceivers have {len(blocks)} {name}s, expected {len(want)}")
+        for node, (block, w) in enumerate(zip(blocks, want), start=1):
+            if block.shape != w:
+                raise ValueError(f"{kind} {name} {node} has shape {block.shape}, expected {w}")
 
 
 def _lift(block: np.ndarray) -> np.ndarray:
@@ -136,7 +140,7 @@ def residual_vector(problem: Problem, rt: ReducedTransceivers) -> np.ndarray:
     ``(p-1) d_j + (q-1)``.  This matches the row order of the first-order
     coefficient matrix and of the Jacobian.
     """
-    _check_point(problem.cfg, rt)
+    _check_point(rt, free_shapes(problem.cfg), "reduced")
     ts = lift_transceivers(rt)
     return np.concatenate([np.zeros(0, dtype=np.complex128)] + [
         R.reshape(-1) for R in _full_residuals(problem.channel, ts, problem.pairs)])
@@ -144,7 +148,7 @@ def residual_vector(problem: Problem, rt: ReducedTransceivers) -> np.ndarray:
 
 def leakage(problem: Problem, rt: ReducedTransceivers) -> float:
     """Total interference leakage: sum of squared residual magnitudes over the alignment set."""
-    _check_point(problem.cfg, rt)
+    _check_point(rt, free_shapes(problem.cfg), "reduced")
     return sum(frobenius_norm_sq(R) for R in
                _full_residuals(problem.channel, lift_transceivers(rt), problem.pairs))
 
@@ -180,7 +184,7 @@ def receiver_update(problem: Problem, rt: ReducedTransceivers) -> ReducedTransce
     defined even when ``A_k`` is rank deficient.  Receivers with no aligned
     pair keep their block.
     """
-    _check_point(problem.cfg, rt)
+    _check_point(rt, free_shapes(problem.cfg), "reduced")
     U = _update_side(problem.by_rx, lambda k, j: problem.channel[k, j], [_lift(v) for v in rt.V],
                      rt.U, lambda k, parts: _ls_solve(parts, problem.cfg.d[k - 1]))
     return ReducedTransceivers(U, rt.V)
@@ -192,7 +196,7 @@ def transmitter_update(problem: Problem, rt: ReducedTransceivers) -> ReducedTran
     :func:`receiver_update` on the reciprocal network: ``G_j`` stacks
     ``H_kj^H U_k`` over the aligned receivers and ``V~_j = -(B_j A_j^+)^H``.
     """
-    _check_point(problem.cfg, rt)
+    _check_point(rt, free_shapes(problem.cfg), "reduced")
     V = _update_side(problem.by_tx, lambda j, k: problem.channel[k, j].conj().T,
                      [_lift(u) for u in rt.U], rt.V,
                      lambda j, parts: _ls_solve(parts, problem.cfg.d[j - 1]))
@@ -249,15 +253,18 @@ class RunTrace:
         Path(path).write_text("\n".join(self.csv_lines()) + "\n", encoding="utf-8")
 
 
-def _trace_driver(state, step, leak_of, *, max_iters, leak_tol, target_db,
-                  norm_db_of=None):
-    """Shared stopping logic: run ``step`` until tolerance, stall or budget.
+def _alternate(problem: Problem, V0, solve, *, max_iters, leak_tol, target_db,
+               norm_db_of=None):
+    """The round loop of both algorithms, on full transceivers.
 
-    ``norm_db_of(state)`` is the dB correction that rescales the current
-    transceivers to their initial total power (the fair-comparison
-    convention); omitted for algorithms whose iterates keep constant power.
-    The recorded leakage is always the raw objective, which is what the
-    stall test and ``leak_tol`` act on.
+    Decoders start at ``U_k = [I; 0]`` and precoders at ``V0``.  A round is
+    the receive sweep then the transmit sweep of :func:`_update_side`; a node
+    with ``m`` antennas and ``d`` streams gets the block ``solve(parts, m, d)``.
+    The run stops at tolerance, stall or budget.  ``norm_db_of(ts)`` is the
+    dB correction that rescales the current transceivers to their initial
+    total power (the fair-comparison convention); omitted for algorithms whose
+    iterates keep constant power.  The recorded leakage is always the raw
+    objective, which is what the stall test and ``leak_tol`` act on.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
@@ -265,19 +272,25 @@ def _trace_driver(state, step, leak_of, *, max_iters, leak_tol, target_db,
         raise ValueError(f"leak_tol must be nonnegative, got {leak_tol}")
     if target_db is not None and math.isnan(target_db):
         raise ValueError("target_db must not be NaN")
-    leak0 = leak_of(state)
-    norm0 = norm_db_of(state) if norm_db_of is not None else 0.0
+    cfg, H = problem.cfg, problem.channel
+    ts = TransceiverSet(tuple(np.eye(n, d, dtype=np.complex128) for n, d in zip(cfg.N, cfg.d)), V0)
+    leak0 = sum(frobenius_norm_sq(R) for R in _full_residuals(H, ts, problem.pairs))
+    norm0 = norm_db_of(ts) if norm_db_of is not None else 0.0
     points = [(0, leak0, 0.0)]
     if leak0 == 0.0:
-        return state, RunTrace(tuple(points), True, "tolerance")
+        return ts, RunTrace(tuple(points), True, "tolerance")
     prev = leak0
     stop = "max_iters"
     for t in range(1, max_iters + 1):
-        state = step(state)
-        leak = leak_of(state)
+        U = _update_side(problem.by_rx, lambda k, j: H[k, j], ts.V, ts.U,
+                         lambda k, parts: solve(parts, cfg.N[k - 1], cfg.d[k - 1]))
+        ts = TransceiverSet(U, _update_side(
+            problem.by_tx, lambda j, k: H[k, j].conj().T, U, ts.V,
+            lambda j, parts: solve(parts, cfg.M[j - 1], cfg.d[j - 1])))
+        leak = sum(frobenius_norm_sq(R) for R in _full_residuals(H, ts, problem.pairs))
         idb = normalized_interference_db(leak0, leak)
         if norm_db_of is not None:
-            idb += norm0 - norm_db_of(state)
+            idb += norm0 - norm_db_of(ts)
         points.append((t, leak, idb))
         if leak < leak_tol or leak == 0.0:
             stop = "tolerance"
@@ -289,7 +302,7 @@ def _trace_driver(state, step, leak_of, *, max_iters, leak_tol, target_db,
             stop = "stalled"
             break
         prev = leak
-    return state, RunTrace(tuple(points), stop != "max_iters", stop)
+    return ts, RunTrace(tuple(points), stop != "max_iters", stop)
 
 
 def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
@@ -298,11 +311,12 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
     """Alternating least-squares alignment in the reduced variables.
 
     Starts from random Gaussian reduced precoders (decoders start at zero,
-    i.e. identity-lifted) and alternates :func:`receiver_update` /
-    :func:`transmitter_update` until the leakage drops below ``leak_tol``,
-    the run reaches ``target_db`` relative suppression, the relative leakage
-    change over a round falls below ``STALL_REL_CHANGE``, or ``max_iters``
-    rounds elapse.
+    i.e. identity-lifted) and alternates the sweeps of
+    :func:`receiver_update` / :func:`transmitter_update` until the leakage
+    drops below ``leak_tol``, the run reaches ``target_db`` relative
+    suppression, the relative leakage change over a round falls below
+    ``STALL_REL_CHANGE``, or ``max_iters`` rounds elapse.  The run works on
+    the lifted transceivers and returns their free blocks.
 
     The trace's leakage column is the raw objective (nonincreasing every
     round).  Its ``I_dB`` column reports the suppression of the *rescaled*
@@ -318,23 +332,23 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
     """
     problem = Problem(cfg, alignment, channel)
     rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed)]))
-    V0 = tuple(_complex_normal(rng, s) for s in free_shapes(cfg)[1])
-    start = ReducedTransceivers(zero_reduced(cfg).U, V0)
+    V0 = tuple(_lift(_complex_normal(rng, s)) for s in free_shapes(cfg)[1])
 
-    def step(rt):
-        return transmitter_update(problem, receiver_update(problem, rt))
+    def free(ts):
+        # the free blocks U_k[d_k:] and V_j[d_j:], as views of the lifted blocks
+        return ReducedTransceivers(tuple(u[d:] for u, d in zip(ts.U, cfg.d)),
+                                   tuple(v[d:] for v, d in zip(ts.V, cfg.d)))
 
-    def norm_db(rt):
+    def norm_db(ts):
         # identity block contributes d_k to trace(U^H U)
-        power_u = sum(cfg.d[: cfg.K]) + sum(frobenius_norm_sq(u) for u in rt.U)
-        power_v = sum(cfg.d) + sum(frobenius_norm_sq(v) for v in rt.V)
-        return 10.0 * math.log10(power_u * power_v)
+        rt = free(ts)
+        return 10.0 * math.log10((sum(cfg.d[: cfg.K]) + sum(map(frobenius_norm_sq, rt.U)))
+                                 * (sum(cfg.d) + sum(map(frobenius_norm_sq, rt.V))))
 
-    return _trace_driver(
-        start, step, lambda rt: leakage(problem, rt),
-        max_iters=max_iters, leak_tol=leak_tol, target_db=target_db,
-        norm_db_of=norm_db,
-    )
+    ts, trace = _alternate(problem, V0, lambda parts, n, d: _lift(_ls_solve(parts, d)),
+                           max_iters=max_iters, leak_tol=leak_tol, target_db=target_db,
+                           norm_db_of=norm_db)
+    return free(ts), trace
 
 
 def _least_dominant(parts, n: int, d: int) -> np.ndarray:
@@ -360,28 +374,9 @@ def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
     """
     problem = Problem(cfg, alignment, channel)
     rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed)]))
-    U0 = tuple(
-        np.eye(cfg.N[k - 1], cfg.d[k - 1], dtype=np.complex128)
-        for k in range(1, cfg.K + 1)
-    )
-    V0 = tuple(
-        np.linalg.qr(_complex_normal(rng, (cfg.M[j - 1], cfg.d[j - 1])))[0]
-        for j in range(1, cfg.n_tx + 1)
-    )
-
-    def step(ts):
-        U = _update_side(problem.by_rx, lambda k, j: channel[k, j], ts.V, ts.U,
-                         lambda k, parts: _least_dominant(parts, cfg.N[k - 1], cfg.d[k - 1]))
-        V = _update_side(problem.by_tx, lambda j, k: channel[k, j].conj().T, U, ts.V,
-                         lambda j, parts: _least_dominant(parts, cfg.M[j - 1], cfg.d[j - 1]))
-        return TransceiverSet(U, V)
-
-    return _trace_driver(
-        TransceiverSet(U0, V0), step,
-        lambda ts: sum(frobenius_norm_sq(R) for R in
-                       _full_residuals(channel, ts, problem.pairs)),
-        max_iters=max_iters, leak_tol=leak_tol, target_db=target_db,
-    )
+    V0 = tuple(np.linalg.qr(_complex_normal(rng, s))[0] for s in zip(cfg.M, cfg.d))
+    return _alternate(problem, V0, _least_dominant, max_iters=max_iters,
+                      leak_tol=leak_tol, target_db=target_db)
 
 
 def lift_transceivers(rt: ReducedTransceivers) -> TransceiverSet:
@@ -406,11 +401,13 @@ def verify_solution(cfg: NetworkConfig, alignment, channel: Channel,
     (absolute, on unit-variance channels), (b) each direct link
     ``U_k^H H_kk V_k`` has numerical rank ``d_k``, and (c) each jammer
     precoder has numerical rank ``d_j``.  Failures are reported
-    individually.  ``tol`` must be finite and nonnegative.
+    individually.  ``tol`` must be finite and nonnegative, and a block of
+    ``ts`` of the wrong shape raises ``ValueError`` naming it.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
     problem = Problem(cfg, alignment, channel)
+    _check_point(ts, (tuple(zip(cfg.N, cfg.d)), tuple(zip(cfg.M, cfg.d))), "full")
     failures: list[str] = []
     max_res = 0.0
     for R in _full_residuals(channel, ts, problem.pairs):

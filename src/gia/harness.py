@@ -15,7 +15,7 @@ import numpy as np
 
 from .aligner import PASS_THRESHOLD_DB, RunTrace, run_classical_baseline, run_gia
 from .feasibility import FeasibilityReport, feasibility_check
-from .network import NetworkConfig, alignment_all, generate_channel, scale_config
+from .network import NetworkConfig, _check_seed, alignment_all, generate_channel, scale_config
 
 __all__ = [
     "SamplingBounds",
@@ -102,7 +102,7 @@ _ALGORITHMS = {"gia": run_gia, "classical": run_classical_baseline}
 
 def trial_seed(master_seed: int, trial_id: int) -> int:
     """Counter-based per-trial seed: trials may run in any order or in parallel."""
-    ss = np.random.SeedSequence([int(master_seed), int(trial_id)])
+    ss = np.random.SeedSequence([_check_seed(master_seed), _check_seed(trial_id)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

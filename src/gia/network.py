@@ -209,7 +209,7 @@ def generate_channel(cfg: NetworkConfig, seed: int) -> Channel:
 
 
 def check_channel(cfg: NetworkConfig, channel: Channel) -> None:
-    """Verify a channel dict covers all pairs, each a finite numpy array of the right shape."""
+    """Verify a channel dict covers all pairs, each a finite numeric numpy array of the right shape."""
     for k in range(1, cfg.K + 1):
         for j in range(1, cfg.n_tx + 1):
             if (k, j) not in channel:
@@ -217,6 +217,8 @@ def check_channel(cfg: NetworkConfig, channel: Channel) -> None:
             h = channel[(k, j)]
             if not isinstance(h, np.ndarray):
                 raise ConfigError(f"channel ({k},{j}) is a {type(h).__name__}, expected a numpy array")
+            if h.dtype.kind not in "iufc":
+                raise ConfigError(f"channel ({k},{j}) has non-numeric entries of dtype {h.dtype}")
             want = (cfg.N[k - 1], cfg.M[j - 1])
             if h.shape != want:
                 raise ConfigError(

@@ -330,25 +330,30 @@ class TestRunGia:
         for a, b in zip(rt.U + rt.V, hand.U + hand.V):
             np.testing.assert_array_equal(a, b)
 
-    def test_validates_once_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("run", [run_gia, run_classical_baseline])
+    def test_validates_once_per_run(self, monkeypatch, run):
+        # the problem is checked when the run starts, and no round checks
+        # its point again
+        import gia.aligner as aligner
         import gia.network as network
 
-        calls = {"canonical_alignment": 0, "check_channel": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(network, name)):
+        calls = {"canonical_alignment": 0, "check_channel": 0, "_check_point": 0}
+        for name, module in (("canonical_alignment", network), ("check_channel", network),
+                             ("_check_point", aligner)):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
                 calls[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(network, name, counted)
+            monkeypatch.setattr(module, name, counted)
         cfg = CONFIG_INFEASIBLE
         channel = generate_channel(cfg, 0)
         per_run = []
         for budget in (5, 50):
             before = dict(calls)
-            _, trace = run_gia(cfg, alignment_all(cfg), channel, max_iters=budget, seed=0)
+            _, trace = run(cfg, alignment_all(cfg), channel, max_iters=budget, seed=0)
             assert trace.rounds_used == budget
             per_run.append({name: calls[name] - before[name] for name in calls})
         assert per_run[0] == per_run[1]
-        assert min(per_run[0].values()) >= 1
+        assert per_run[0]["canonical_alignment"] >= 1 and per_run[0]["check_channel"] >= 1
 
     @pytest.mark.parametrize("run", [run_gia, run_classical_baseline])
     def test_negative_budget_rejected(self, run):
@@ -420,6 +425,23 @@ class TestVerifySolution:
         with pytest.raises(ValueError, match="tol"):
             verify_solution(cfg, alignment_all(cfg), channel,
                             lift_transceivers(zero_reduced(cfg)), tol=tol)
+
+    def test_transceiver_shapes_checked(self):
+        from gia.network import TransceiverSet
+
+        cfg = CONFIG_SYM
+        channel = generate_channel(cfg, 4)
+        ts = lift_transceivers(zero_reduced(cfg))
+        for bad, message in (
+            (TransceiverSet(ts.U[:2], ts.V), "full transceivers have 2 decoders, expected 3"),
+            (TransceiverSet(ts.U, ts.V + ts.V[:1]), "full transceivers have 4 precoders, expected 3"),
+            (TransceiverSet((ts.U[0][:5],) + ts.U[1:], ts.V),
+             r"full decoder 1 has shape \(5, 3\), expected \(6, 3\)"),
+            (TransceiverSet(ts.U, ts.V[:2] + (ts.V[2][:, :2],)),
+             r"full precoder 3 has shape \(6, 2\), expected \(6, 3\)"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                verify_solution(cfg, alignment_all(cfg), channel, bad)
 
     def test_single_user_no_alignment_passes(self):
         cfg = NetworkConfig(K=1, J=0, M=(3,), N=(3,), d=(2,))

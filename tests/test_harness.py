@@ -68,6 +68,15 @@ class TestTrials:
         b = run_trial(3, seed, "gia", SMALL_BOUNDS, budget=400)
         assert a == b
 
+    def test_trial_seed_rejects_non_integers(self):
+        # a float is not truncated onto another seed's trials
+        for master, trial in ((0.5, 1), (0, 1.7)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                trial_seed(master, trial)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_test1(2, seed=0.5, budget=10, bounds=SMALL_BOUNDS)
+        assert trial_seed(np.int64(7), np.int64(3)) == trial_seed(7, 3)
+
     def test_records_independent_of_batch(self):
         records, _ = run_test1(5, algorithm="gia", seed=11, budget=400, bounds=SMALL_BOUNDS)
         lone = run_trial(2, trial_seed(11, 2), "gia", SMALL_BOUNDS, budget=400)

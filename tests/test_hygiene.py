@@ -85,3 +85,29 @@ def test_package_imports_only_exported_names():
             exported = declared_all(ast.parse(module.read_text(encoding="utf-8")))
             missing.extend(f"{node.module}.{a.name}" for a in node.names if a.name not in exported)
     assert missing == []
+
+
+def orphan_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names of each module that no module in ``sources`` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name in sorted(top_level_names(tree))
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_orphan_private_name_detected():
+    sources = {"a": "def _used(): pass\ndef _gone(): pass\n_LEFT = 1\n__all__ = []\n",
+               "b": "from .a import _used\nimport a\n_used()\na._LEFT\n"}
+    assert orphan_private_names(sources) == ["a: _gone"]
+
+
+def test_no_orphan_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert orphan_private_names(sources) == []

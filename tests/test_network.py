@@ -109,6 +109,7 @@ class TestProblem:
         for spoil, message in (
             (lambda h: h * np.nan, r"channel \(1,2\) has non-finite entries"),
             (lambda h: h.tolist(), r"channel \(1,2\) is a list, expected a numpy array"),
+            (lambda h: h.astype(object), r"channel \(1,2\) has non-numeric entries of dtype object"),
         ):
             channel = generate_channel(cfg, 0)
             channel[(1, 2)] = spoil(channel[(1, 2)])
