@@ -1,24 +1,26 @@
 """Transceiver design by alternating interference-leakage minimization.
 
-Works in the reduced variables: every decoder and precoder is normalized as
-an identity block stacked on a free block, ``U_k = [I; U~_k]``,
-``V_j = [I; V~_j]``, which turns the zero-forcing constraints into
-polynomials in the free blocks.  One *round* is a full receiver sweep
-followed by a full transmitter sweep; each sweep is an exact least-squares
-minimizer of the total leakage in its own variables, so leakage is
-nonincreasing along the iteration.
+ALS normalizes every decoder and precoder as an identity block stacked on a
+free block, ``U_k = [I; U~_k]``, ``V_j = [I; V~_j]``, which turns the
+zero-forcing constraints into polynomials in the free blocks.  One *round*
+is a full receiver sweep followed by a full transmitter sweep; each sweep is
+an exact least-squares minimizer of the total leakage in its own variables,
+so leakage is nonincreasing along the iteration.
 
 The classical iterative baseline (alternating eigenvector updates under
 orthonormality, exploiting uplink-downlink reciprocity) is included for
 comparison runs.
 
 Both algorithms run one round loop, :func:`_alternate`, on full
-transceivers, each with its own per-node solve.  ALS lifts its start once
-and returns the free blocks: the reduced variables live only at the API
-edge.  Every sweep is :func:`_update_side`; the transmit sweep is the receive
-sweep of the reciprocal network, whose links are ``H_kj^H``.  One residual
-routine forms every ``U_k^H H_kj V_j``; leakage, the residual vector, the
-round loop and solution verification all take their products from it.
+transceivers, each with its own per-node solve, and both return full
+transceivers.  The reduced variables appear only in the public reference
+sweeps (:func:`receiver_update`, :func:`transmitter_update`), the residual
+vector and leakage, and the Jacobian.  Every sweep is :func:`_update_side`
+over the links :class:`~gia.network.Problem` stores: ``by_rx`` for the
+receive sweep and ``by_tx``, the links ``H_kj^H`` of the reciprocal network,
+for the transmit sweep.  One residual routine forms every
+``U_k^H H_kj V_j``; leakage, the residual vector, the round loop and
+solution verification all take their products from it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "STALL_REL_CHANGE",
     "zero_reduced",
     "random_reduced",
-    "residual_matrix",
     "residual_vector",
     "leakage",
     "receiver_update",
@@ -121,15 +122,11 @@ def _lift(block: np.ndarray) -> np.ndarray:
     return np.vstack([np.eye(block.shape[1], dtype=np.complex128), block])
 
 
-def _full_residuals(channel: Channel, ts: TransceiverSet, pairs):
-    """``U_k^H H_kj V_j`` of the full transceivers, per pair of ``pairs`` in order."""
-    for k, j in pairs:
-        yield ts.U[k - 1].conj().T @ channel[(k, j)] @ ts.V[j - 1]
-
-
-def residual_matrix(problem: Problem, rt: ReducedTransceivers, k: int, j: int) -> np.ndarray:
-    """The ``d_k x d_j`` post-processing matrix ``U_k^H H_kj V_j`` of the lifted transceivers."""
-    return next(_full_residuals(problem.channel, lift_transceivers(rt), [(k, j)]))
+def _full_residuals(problem: Problem, ts: TransceiverSet):
+    """``U_k^H H_kj V_j`` of the full transceivers, per aligned pair in canonical order."""
+    for k, links in problem.by_rx.items():
+        for j, H in links:
+            yield ts.U[k - 1].conj().T @ H @ ts.V[j - 1]
 
 
 def residual_vector(problem: Problem, rt: ReducedTransceivers) -> np.ndarray:
@@ -141,29 +138,27 @@ def residual_vector(problem: Problem, rt: ReducedTransceivers) -> np.ndarray:
     coefficient matrix and of the Jacobian.
     """
     _check_point(rt, free_shapes(problem.cfg), "reduced")
-    ts = lift_transceivers(rt)
     return np.concatenate([np.zeros(0, dtype=np.complex128)] + [
-        R.reshape(-1) for R in _full_residuals(problem.channel, ts, problem.pairs)])
+        R.reshape(-1) for R in _full_residuals(problem, lift_transceivers(rt))])
 
 
 def leakage(problem: Problem, rt: ReducedTransceivers) -> float:
     """Total interference leakage: sum of squared residual magnitudes over the alignment set."""
     _check_point(rt, free_shapes(problem.cfg), "reduced")
-    return sum(frobenius_norm_sq(R) for R in
-               _full_residuals(problem.channel, lift_transceivers(rt), problem.pairs))
+    return sum(frobenius_norm_sq(R) for R in _full_residuals(problem, lift_transceivers(rt)))
 
 
-def _update_side(groups, link, partners, own, solve) -> tuple[np.ndarray, ...]:
-    """One sweep: node ``n`` of ``groups`` (``by_rx`` or ``by_tx``) gets ``solve(n, parts)``.
+def _update_side(links, partners, own, d, solve) -> tuple[np.ndarray, ...]:
+    """One sweep: node ``n`` of ``links`` gets ``solve(parts, d[n-1])``.
 
-    ``parts`` is ``[link(n, p) @ partners[p-1] for p in groups[n]]``; other
-    nodes keep their block of ``own``.  The receive side has ``link(k, j) =
-    H_kj``; the transmit side is the receive side of the reciprocal network,
-    ``link(j, k) = H_kj^H``.
+    ``parts`` is ``[L @ partners[p-1] for p, L in links[n]]``.  ``links`` is
+    ``Problem.by_rx`` (links ``H_kj``, partners the precoders) or
+    ``Problem.by_tx`` (the reciprocal network's links ``H_kj^H``, partners the
+    decoders).  Nodes without links keep their block of ``own``.
     """
     new = list(own)
-    for n, ps in groups.items():
-        new[n - 1] = solve(n, [link(n, p) @ partners[p - 1] for p in ps])
+    for n, node_links in links.items():
+        new[n - 1] = solve([L @ partners[p - 1] for p, L in node_links], d[n - 1])
     return tuple(new)
 
 
@@ -185,8 +180,7 @@ def receiver_update(problem: Problem, rt: ReducedTransceivers) -> ReducedTransce
     pair keep their block.
     """
     _check_point(rt, free_shapes(problem.cfg), "reduced")
-    U = _update_side(problem.by_rx, lambda k, j: problem.channel[k, j], [_lift(v) for v in rt.V],
-                     rt.U, lambda k, parts: _ls_solve(parts, problem.cfg.d[k - 1]))
+    U = _update_side(problem.by_rx, [_lift(v) for v in rt.V], rt.U, problem.cfg.d, _ls_solve)
     return ReducedTransceivers(U, rt.V)
 
 
@@ -197,9 +191,7 @@ def transmitter_update(problem: Problem, rt: ReducedTransceivers) -> ReducedTran
     ``H_kj^H U_k`` over the aligned receivers and ``V~_j = -(B_j A_j^+)^H``.
     """
     _check_point(rt, free_shapes(problem.cfg), "reduced")
-    V = _update_side(problem.by_tx, lambda j, k: problem.channel[k, j].conj().T,
-                     [_lift(u) for u in rt.U], rt.V,
-                     lambda j, parts: _ls_solve(parts, problem.cfg.d[j - 1]))
+    V = _update_side(problem.by_tx, [_lift(u) for u in rt.U], rt.V, problem.cfg.d, _ls_solve)
     return ReducedTransceivers(rt.U, V)
 
 
@@ -258,13 +250,14 @@ def _alternate(problem: Problem, V0, solve, *, max_iters, leak_tol, target_db,
     """The round loop of both algorithms, on full transceivers.
 
     Decoders start at ``U_k = [I; 0]`` and precoders at ``V0``.  A round is
-    the receive sweep then the transmit sweep of :func:`_update_side`; a node
-    with ``m`` antennas and ``d`` streams gets the block ``solve(parts, m, d)``.
-    The run stops at tolerance, stall or budget.  ``norm_db_of(ts)`` is the
-    dB correction that rescales the current transceivers to their initial
-    total power (the fair-comparison convention); omitted for algorithms whose
-    iterates keep constant power.  The recorded leakage is always the raw
-    objective, which is what the stall test and ``leak_tol`` act on.
+    the receive sweep over ``problem.by_rx`` then the transmit sweep over
+    ``problem.by_tx``, both by :func:`_update_side`: a node with ``d`` streams
+    gets the full block ``solve(parts, d)``.  The run stops at tolerance,
+    stall or budget.  ``norm_db_of(ts)`` is the dB correction that rescales
+    the current transceivers to their initial total power (the
+    fair-comparison convention); omitted for algorithms whose iterates keep
+    constant power.  The recorded leakage is always the raw objective, which
+    is what the stall test and ``leak_tol`` act on.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
@@ -272,9 +265,9 @@ def _alternate(problem: Problem, V0, solve, *, max_iters, leak_tol, target_db,
         raise ValueError(f"leak_tol must be nonnegative, got {leak_tol}")
     if target_db is not None and math.isnan(target_db):
         raise ValueError("target_db must not be NaN")
-    cfg, H = problem.cfg, problem.channel
+    cfg = problem.cfg
     ts = TransceiverSet(tuple(np.eye(n, d, dtype=np.complex128) for n, d in zip(cfg.N, cfg.d)), V0)
-    leak0 = sum(frobenius_norm_sq(R) for R in _full_residuals(H, ts, problem.pairs))
+    leak0 = sum(frobenius_norm_sq(R) for R in _full_residuals(problem, ts))
     norm0 = norm_db_of(ts) if norm_db_of is not None else 0.0
     points = [(0, leak0, 0.0)]
     if leak0 == 0.0:
@@ -282,12 +275,9 @@ def _alternate(problem: Problem, V0, solve, *, max_iters, leak_tol, target_db,
     prev = leak0
     stop = "max_iters"
     for t in range(1, max_iters + 1):
-        U = _update_side(problem.by_rx, lambda k, j: H[k, j], ts.V, ts.U,
-                         lambda k, parts: solve(parts, cfg.N[k - 1], cfg.d[k - 1]))
-        ts = TransceiverSet(U, _update_side(
-            problem.by_tx, lambda j, k: H[k, j].conj().T, U, ts.V,
-            lambda j, parts: solve(parts, cfg.M[j - 1], cfg.d[j - 1])))
-        leak = sum(frobenius_norm_sq(R) for R in _full_residuals(H, ts, problem.pairs))
+        U = _update_side(problem.by_rx, ts.V, ts.U, cfg.d, solve)
+        ts = TransceiverSet(U, _update_side(problem.by_tx, U, ts.V, cfg.d, solve))
+        leak = sum(frobenius_norm_sq(R) for R in _full_residuals(problem, ts))
         idb = normalized_interference_db(leak0, leak)
         if norm_db_of is not None:
             idb += norm0 - norm_db_of(ts)
@@ -316,7 +306,7 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
     drops below ``leak_tol``, the run reaches ``target_db`` relative
     suppression, the relative leakage change over a round falls below
     ``STALL_REL_CHANGE``, or ``max_iters`` rounds elapse.  The run works on
-    the lifted transceivers and returns their free blocks.
+    the lifted transceivers ``[I; X]`` throughout.
 
     The trace's leakage column is the raw objective (nonincreasing every
     round).  Its ``I_dB`` column reports the suppression of the *rescaled*
@@ -328,31 +318,35 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
 
     Returns
     -------
-    (ReducedTransceivers, RunTrace)
+    (TransceiverSet, RunTrace)
+        The full transceivers: every block has the identity on top of its
+        free block, ``U_k = [I; U~_k]`` and ``V_j = [I; V~_j]``.
     """
     problem = Problem(cfg, alignment, channel)
     rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed)]))
     V0 = tuple(_lift(_complex_normal(rng, s)) for s in free_shapes(cfg)[1])
 
-    def free(ts):
-        # the free blocks U_k[d_k:] and V_j[d_j:], as views of the lifted blocks
-        return ReducedTransceivers(tuple(u[d:] for u, d in zip(ts.U, cfg.d)),
-                                   tuple(v[d:] for v, d in zip(ts.V, cfg.d)))
-
     def norm_db(ts):
-        # identity block contributes d_k to trace(U^H U)
-        rt = free(ts)
-        return 10.0 * math.log10((sum(cfg.d[: cfg.K]) + sum(map(frobenius_norm_sq, rt.U)))
-                                 * (sum(cfg.d) + sum(map(frobenius_norm_sq, rt.V))))
+        # the identity block contributes d to trace(X^H X); x[d:] is the free block
+        return 10.0 * math.log10(
+            (sum(cfg.d[: cfg.K]) + sum(frobenius_norm_sq(u[d:]) for u, d in zip(ts.U, cfg.d)))
+            * (sum(cfg.d) + sum(frobenius_norm_sq(v[d:]) for v, d in zip(ts.V, cfg.d))))
 
-    ts, trace = _alternate(problem, V0, lambda parts, n, d: _lift(_ls_solve(parts, d)),
-                           max_iters=max_iters, leak_tol=leak_tol, target_db=target_db,
-                           norm_db_of=norm_db)
-    return free(ts), trace
+    return _alternate(problem, V0, lambda parts, d: _lift(_ls_solve(parts, d)),
+                      max_iters=max_iters, leak_tol=leak_tol, target_db=target_db,
+                      norm_db_of=norm_db)
 
 
-def _least_dominant(parts, n: int, d: int) -> np.ndarray:
-    """The ``d`` least-dominant eigenvectors of ``Q = sum P P^H`` over ``parts`` (``n x n``)."""
+def _least_dominant(parts, d: int) -> np.ndarray:
+    """The ``d`` least-dominant eigenvectors of ``Q = sum P P^H`` over ``parts``."""
+    # Q must be summed pair by pair in canonical order, not formed as one
+    # product G G^H of the stacked parts: the classical traces depend on the
+    # operation order.  Forming G G^H changed final_I_dB on all 88 feasible
+    # trials of `gia test1 -n 120 --seed 0 --algorithm classical` (by up to
+    # 16 dB) and rounds_used on 33.  The likely cause: when a node's
+    # interference has rank below n - d, its least-dominant eigenspace has
+    # more than d dimensions, and roundoff picks the basis.
+    n = parts[0].shape[0]
     Q = np.zeros((n, n), dtype=np.complex128)
     for P in parts:
         Q += P @ P.conj().T
@@ -410,7 +404,7 @@ def verify_solution(cfg: NetworkConfig, alignment, channel: Channel,
     _check_point(ts, (tuple(zip(cfg.N, cfg.d)), tuple(zip(cfg.M, cfg.d))), "full")
     failures: list[str] = []
     max_res = 0.0
-    for R in _full_residuals(channel, ts, problem.pairs):
+    for R in _full_residuals(problem, ts):
         if R.size:
             max_res = max(max_res, float(np.abs(R).max()))
     if max_res > tol:

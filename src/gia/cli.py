@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .aligner import lift_transceivers, run_gia, verify_solution
+from .aligner import run_gia, verify_solution
 from .feasibility import feasibility_check
 from .harness import (
     BENCHMARK_CONFIGS,
@@ -119,10 +119,9 @@ def _cmd_design(args) -> int:
               file=sys.stderr)
     # every residual entry is at most sqrt(leakage), so stopping below tol**2
     # leaves each one within the verification tolerance
-    rt, trace = run_gia(cfg, pairs, channel, max_iters=args.budget,
+    ts, trace = run_gia(cfg, pairs, channel, max_iters=args.budget,
                         leak_tol=args.tol ** 2, seed=seed)
     trace.write_csv(args.out)
-    ts = lift_transceivers(rt)
     verdict = verify_solution(cfg, pairs, channel, ts, tol=args.tol)
     print(f"final_I_dB = {trace.final_i_db!r}")
     print(f"rounds_used = {trace.rounds_used}")

@@ -246,24 +246,30 @@ class Problem:
 
     Construction canonicalizes the alignment set (``pairs``, lexicographic)
     and checks the channel against the configuration, raising
-    :class:`ConfigError` on either.  ``by_rx[k]`` lists the aligned
-    transmitters of receiver ``k`` and ``by_tx[j]`` the aligned receivers of
-    transmitter ``j``; both follow the canonical pair order, and nodes
+    :class:`ConfigError` on either.  The aligned links are read from the
+    channel then, once: ``by_rx[k]`` is ``((j, H_kj), ...)`` over the aligned
+    transmitters of receiver ``k``, and ``by_tx[j]`` is ``((k, H_kj^H), ...)``
+    over the aligned receivers of transmitter ``j``, the links of the
+    reciprocal network.  Both follow the canonical pair order, and nodes
     without an aligned pair have no entry.
     """
 
     cfg: NetworkConfig
     pairs: tuple[Pair, ...]
     channel: Channel
-    by_rx: dict[int, tuple[int, ...]] = field(init=False)
-    by_tx: dict[int, tuple[int, ...]] = field(init=False)
+    by_rx: dict[int, tuple[tuple[int, np.ndarray], ...]] = field(init=False)
+    by_tx: dict[int, tuple[tuple[int, np.ndarray], ...]] = field(init=False)
 
     def __post_init__(self):
         pairs = canonical_alignment(self.cfg, self.pairs)
         check_channel(self.cfg, self.channel)
+        by_rx, by_tx = {}, {}
+        for k, j in pairs:
+            by_rx[k] = by_rx.get(k, ()) + ((j, self.channel[k, j]),)
+            by_tx[j] = by_tx.get(j, ()) + ((k, self.channel[k, j].conj().T),)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "by_rx", {k: tuple(j for r, j in pairs if r == k) for k, _ in pairs})
-        object.__setattr__(self, "by_tx", {j: tuple(k for k, t in pairs if t == j) for _, j in pairs})
+        object.__setattr__(self, "by_rx", by_rx)
+        object.__setattr__(self, "by_tx", by_tx)
 
 
 # Config file format: flat `key = value` lines, one key each of K, J, M, N, d

@@ -13,7 +13,6 @@ import numpy as np
 
 from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM, fd_jacobian
 from gia.aligner import (
-    lift_transceivers,
     random_reduced,
     run_gia,
     verify_solution,
@@ -252,11 +251,11 @@ def test_criterion_8_solution_validity():
         if not feasibility_check(cfg, pairs, channel).feasible:
             continue
         checked += 1
-        rt, trace = run_gia(
+        ts, trace = run_gia(
             cfg, pairs, channel, max_iters=100000, leak_tol=1e-12, seed=algo_seed
         )
         reached = bool((trace.i_db <= -60.0).any())
-        verdict = verify_solution(cfg, pairs, channel, lift_transceivers(rt), tol=1e-6)
+        verdict = verify_solution(cfg, pairs, channel, ts, tol=1e-6)
         if not (reached and verdict.passed):
             failures += 1
             print(f"  instance {checked}: reached={reached} failures={verdict.failures}")

@@ -12,7 +12,6 @@ from gia.aligner import (
     normalized_interference_db,
     random_reduced,
     receiver_update,
-    residual_matrix,
     residual_vector,
     run_classical_baseline,
     run_gia,
@@ -20,8 +19,7 @@ from gia.aligner import (
     verify_solution,
     zero_reduced,
 )
-from gia.linalg import frobenius_norm_sq
-from gia.network import NetworkConfig, Problem, alignment_all, generate_channel
+from gia.network import NetworkConfig, Problem, TransceiverSet, alignment_all, generate_channel
 
 
 def zero_cross_channel(cfg, seed=0):
@@ -98,19 +96,6 @@ class TestResiduals:
             direct = (ts.U[k - 1].conj().T @ channel[(k, j)] @ ts.V[j - 1])[p - 1, q - 1]
             assert abs(value - direct) <= 1e-12
 
-    def test_vector_order_matches_residual_matrix(self):
-        cfg = NetworkConfig(K=2, J=0, M=(3, 4), N=(4, 3), d=(2, 1))
-        problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, 2))
-        rt = random_reduced(cfg, 2)
-        vec = residual_vector(problem, rt)
-        flat = [
-            residual_matrix(problem, rt, k, j)[p - 1, q - 1]
-            for (k, j) in problem.pairs
-            for p in range(1, cfg.d[k - 1] + 1)
-            for q in range(1, cfg.d[j - 1] + 1)
-        ]
-        np.testing.assert_array_equal(vec, np.array(flat))
-
     def test_point_shape_checked(self):
         cfg = CONFIG_SYM
         problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, 0))
@@ -141,9 +126,7 @@ class TestLeakage:
         cfg = NetworkConfig(K=3, J=0, M=(4, 4, 4), N=(3, 5, 4), d=(2, 2, 1))
         problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, 3))
         rt = random_reduced(cfg, 9)
-        total = sum(
-            frobenius_norm_sq(residual_matrix(problem, rt, k, j)) for k, j in problem.pairs
-        )
+        total = float(np.sum(np.abs(residual_vector(problem, rt)) ** 2))
         assert leakage(problem, rt) == pytest.approx(total, rel=1e-12)
 
 
@@ -169,7 +152,7 @@ class TestReceiverUpdate:
         out = receiver_update(problem, rt)
         assert abs(out.U[0][0, 0] - expected) <= 1e-12
         # square system: the single constraint is solved exactly
-        assert abs(residual_matrix(problem, out, 1, 2)[0, 0]) <= 1e-12
+        assert abs(residual_entries(problem, out)[(1, 2, 1, 1)]) <= 1e-12
 
     def test_first_update_strictly_decreases(self):
         cfg = CONFIG_SYM
@@ -239,7 +222,7 @@ class TestTransmitterUpdate:
         problem = Problem(cfg, [(1, 2)], generate_channel(cfg, 13))
         rt = random_reduced(cfg, 14)
         out = transmitter_update(problem, rt)
-        assert np.abs(residual_matrix(problem, out, 1, 2)).max() <= 1e-10
+        assert max(map(abs, residual_entries(problem, out).values())) <= 1e-10
 
     def test_monotone_over_alternating_updates(self):
         rng = np.random.default_rng(6)
@@ -266,7 +249,7 @@ class TestRunGia:
     def test_zero_cross_channel_converges_immediately(self):
         cfg = CONFIG_SYM
         channel = zero_cross_channel(cfg)
-        rt, trace = run_gia(cfg, alignment_all(cfg), channel, seed=0)
+        _, trace = run_gia(cfg, alignment_all(cfg), channel, seed=0)
         assert trace.points == ((0, 0.0, 0.0),)
         assert trace.converged and trace.stop_reason == "tolerance"
 
@@ -307,28 +290,45 @@ class TestRunGia:
     def test_deterministic_given_seed(self):
         cfg = CONFIG_SYM
         channel = generate_channel(cfg, 3)
-        rt1, tr1 = run_gia(cfg, alignment_all(cfg), channel, max_iters=20, seed=5)
-        rt2, tr2 = run_gia(cfg, alignment_all(cfg), channel, max_iters=20, seed=5)
+        ts1, tr1 = run_gia(cfg, alignment_all(cfg), channel, max_iters=20, seed=5)
+        ts2, tr2 = run_gia(cfg, alignment_all(cfg), channel, max_iters=20, seed=5)
         assert tr1.points == tr2.points
-        for a, b in zip(rt1.V, rt2.V):
+        for a, b in zip(ts1.U + ts1.V, ts2.U + ts2.V):
             np.testing.assert_array_equal(a, b)
 
     def test_trace_is_the_public_round_loop(self):
         cfg = CONFIG_ASYM
         pairs = alignment_all(cfg)
         channel = generate_channel(cfg, 3)
-        rt, trace = run_gia(cfg, pairs, channel, max_iters=30, seed=3)
+        ts, trace = run_gia(cfg, pairs, channel, max_iters=30, seed=3)
         start, _ = run_gia(cfg, pairs, channel, max_iters=0, seed=3)
         problem = Problem(cfg, pairs, channel)
-        hand = start
+        hand = ReducedTransceivers(tuple(u[d:] for u, d in zip(start.U, cfg.d)),
+                                   tuple(v[d:] for v, d in zip(start.V, cfg.d)))
         leaks = [leakage(problem, hand)]
         for _ in range(30):
             hand = transmitter_update(problem, receiver_update(problem, hand))
             leaks.append(leakage(problem, hand))
         assert trace.rounds_used == 30
         np.testing.assert_array_equal(trace.leakages, leaks)
-        for a, b in zip(rt.U + rt.V, hand.U + hand.V):
+        lifted = lift_transceivers(hand)
+        for a, b in zip(ts.U + ts.V, lifted.U + lifted.V):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("run", [run_gia, run_classical_baseline])
+    def test_returns_full_transceivers(self, run):
+        cfg = NetworkConfig(K=2, J=1, M=(4, 3, 5), N=(3, 4), d=(2, 1, 2))
+        pairs = alignment_all(cfg)
+        channel = generate_channel(cfg, 6)
+        ts, _ = run(cfg, pairs, channel, max_iters=10, seed=7)
+        assert isinstance(ts, TransceiverSet)
+        assert [u.shape for u in ts.U] == [(3, 2), (4, 1)]
+        assert [v.shape for v in ts.V] == [(4, 2), (3, 1), (5, 2)]
+        if run is run_gia:
+            for x, d in zip(ts.U + ts.V, cfg.d[: cfg.K] + cfg.d):
+                np.testing.assert_array_equal(x[:d], np.eye(d))
+            # this network aligns to roundoff (leakage 1.8e-30) within the 10 rounds
+            assert verify_solution(cfg, pairs, channel, ts).passed
 
     @pytest.mark.parametrize("run", [run_gia, run_classical_baseline])
     def test_validates_once_per_run(self, monkeypatch, run):
@@ -404,9 +404,9 @@ class TestVerifySolution:
         cfg = CONFIG_SYM
         pairs = alignment_all(cfg)
         channel = generate_channel(cfg, 13)
-        rt, trace = run_gia(cfg, pairs, channel, max_iters=100000, leak_tol=1e-12, seed=13)
+        ts, trace = run_gia(cfg, pairs, channel, max_iters=100000, leak_tol=1e-12, seed=13)
         assert trace.stop_reason == "tolerance"
-        report = verify_solution(cfg, pairs, channel, lift_transceivers(rt), tol=1e-6)
+        report = verify_solution(cfg, pairs, channel, ts, tol=1e-6)
         assert report.passed, report.failures
         assert report.max_residual <= 1e-6
 
@@ -427,8 +427,6 @@ class TestVerifySolution:
                             lift_transceivers(zero_reduced(cfg)), tol=tol)
 
     def test_transceiver_shapes_checked(self):
-        from gia.network import TransceiverSet
-
         cfg = CONFIG_SYM
         channel = generate_channel(cfg, 4)
         ts = lift_transceivers(zero_reduced(cfg))
@@ -454,8 +452,6 @@ class TestVerifySolution:
         channel = generate_channel(cfg, 6)
         ts = lift_transceivers(zero_reduced(cfg))
         bad_V = (ts.V[0], np.hstack([ts.V[1][:, :1], ts.V[1][:, :1]]))
-        from gia.network import TransceiverSet
-
         report = verify_solution(cfg, (), channel, TransceiverSet(ts.U, bad_V))
         assert not report.passed
         assert any("jammer" in f for f in report.failures)

@@ -111,3 +111,37 @@ def test_orphan_private_name_detected():
 def test_no_orphan_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert orphan_private_names(sources) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of each function or lambda that its body never reads.
+
+    ``self``, ``cls`` and ``_``-prefixed names are exempt; a read in a nested
+    function or lambda counts for the enclosing one.
+    """
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unused.extend(f"line {node.lineno}: {name}({p})" for p in params
+                      if p not in read and p not in ("self", "cls") and not p.startswith("_"))
+    return unused
+
+
+def test_unused_parameter_detected():
+    source = ("def f(a, b, *args, c, _d, **kw):\n    return a + kw['x']\n"
+              "class C:\n    def m(self, x):\n        return lambda y, z: x + y\n"
+              "def g(n):\n    def h():\n        return n\n    return h\n")
+    assert unused_parameters(source) == [
+        "line 1: f(b)", "line 1: f(c)", "line 1: f(args)", "line 5: lambda(z)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []

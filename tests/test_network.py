@@ -87,10 +87,18 @@ class TestAlignment:
 class TestProblem:
     def test_pairs_canonical_and_grouped_in_order(self):
         cfg = NetworkConfig(K=3, J=1, M=(2, 2, 2, 3), N=(2, 2, 2), d=(1, 1, 1, 1))
-        problem = Problem(cfg, [(3, 1), (1, 4), (2, 1), (1, 3), (1, 3)], generate_channel(cfg, 0))
+        channel = generate_channel(cfg, 0)
+        problem = Problem(cfg, [(3, 1), (1, 4), (2, 1), (1, 3), (1, 3)], channel)
         assert problem.pairs == ((1, 3), (1, 4), (2, 1), (3, 1))
-        assert list(problem.by_rx.items()) == [(1, (3, 4)), (2, (1,)), (3, (1,))]
-        assert list(problem.by_tx.items()) == [(3, (1,)), (4, (1,)), (1, (2, 3))]
+        assert [(k, tuple(j for j, _ in links)) for k, links in problem.by_rx.items()] == [
+            (1, (3, 4)), (2, (1,)), (3, (1,))]
+        assert [(j, tuple(k for k, _ in links)) for j, links in problem.by_tx.items()] == [
+            (3, (1,)), (4, (1,)), (1, (2, 3))]
+        # the receive links are the channel's, the transmit links their conjugate transposes
+        for k, links in problem.by_rx.items():
+            for j, H in links:
+                np.testing.assert_array_equal(H, channel[k, j])
+                np.testing.assert_array_equal(dict(problem.by_tx[j])[k], H.conj().T)
 
     def test_out_of_range_pair_rejected(self):
         cfg = CONFIG_SYM
