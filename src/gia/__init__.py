@@ -9,11 +9,9 @@ harness.
 from .aligner import (
     PASS_THRESHOLD_DB,
     AlreadyAlignedError,
-    ReducedTransceivers,
     RunTrace,
     VerificationReport,
     leakage,
-    lift_transceivers,
     normalized_interference_db,
     receiver_update,
     run_classical_baseline,

@@ -11,16 +11,19 @@ The classical iterative baseline (alternating eigenvector updates under
 orthonormality, exploiting uplink-downlink reciprocity) is included for
 comparison runs.
 
-Both algorithms run one round loop, :func:`_alternate`, on full
-transceivers, each with its own per-node solve, and both return full
-transceivers.  The reduced variables appear only in the public reference
-sweeps (:func:`receiver_update`, :func:`transmitter_update`), the residual
-vector and leakage, and the Jacobian.  Every sweep is :func:`_update_side`
+Every point is a :class:`~gia.network.TransceiverSet`, and the free
+blocks are its views ``U_k[d_k:]`` and ``V_j[d_j:]``; there is no second
+transceiver type.  Both algorithms run one round loop, :func:`_alternate`,
+each with its own per-node solve; ALS's is :func:`_als_solve`, which the
+public reference sweeps (:func:`receiver_update`,
+:func:`transmitter_update`) share.  Every sweep is :func:`_update_side`
 over the links :class:`~gia.network.Problem` stores: ``by_rx`` for the
 receive sweep and ``by_tx``, the links ``H_kj^H`` of the reciprocal network,
 for the transmit sweep.  One residual routine forms every
 ``U_k^H H_kj V_j``; leakage, the residual vector, the round loop and
-solution verification all take their products from it.
+solution verification all take their products from it.  The public
+functions check their point with :func:`~gia.network.check_transceivers`;
+the round loop checks none.
 """
 
 from __future__ import annotations
@@ -39,25 +42,22 @@ from .network import (
     TransceiverSet,
     _check_seed,
     _complex_normal,
+    check_transceivers,
     free_shapes,
 )
 
 __all__ = [
     "AlreadyAlignedError",
-    "ReducedTransceivers",
     "RunTrace",
     "VerificationReport",
     "PASS_THRESHOLD_DB",
     "STALL_REL_CHANGE",
-    "zero_reduced",
-    "random_reduced",
     "residual_vector",
     "leakage",
     "receiver_update",
     "transmitter_update",
     "run_gia",
     "run_classical_baseline",
-    "lift_transceivers",
     "verify_solution",
     "normalized_interference_db",
 ]
@@ -73,50 +73,6 @@ class AlreadyAlignedError(ValueError):
     """Initial leakage is zero: the instance is degenerate (already aligned)."""
 
 
-@dataclass(frozen=True)
-class ReducedTransceivers:
-    """Free transceiver blocks: ``U[k-1]`` is ``(N_k-d_k) x d_k``, ``V[j-1]`` is ``(M_j-d_j) x d_j``."""
-
-    U: tuple[np.ndarray, ...]
-    V: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "U", tuple(np.asarray(u, dtype=np.complex128) for u in self.U))
-        object.__setattr__(self, "V", tuple(np.asarray(v, dtype=np.complex128) for v in self.V))
-
-
-def zero_reduced(cfg: NetworkConfig) -> ReducedTransceivers:
-    """All-zero reduced transceivers for ``cfg``."""
-    rx, tx = free_shapes(cfg)
-    return ReducedTransceivers(
-        tuple(np.zeros(s, dtype=np.complex128) for s in rx),
-        tuple(np.zeros(s, dtype=np.complex128) for s in tx),
-    )
-
-
-def random_reduced(cfg: NetworkConfig, seed) -> ReducedTransceivers:
-    """Reduced transceivers with i.i.d. standard complex Gaussian entries.
-
-    ``seed`` may be an int or a ``numpy.random.SeedSequence``.
-    """
-    rng = np.random.default_rng(seed)
-    rx, tx = free_shapes(cfg)
-    U = tuple(_complex_normal(rng, s) for s in rx)  # drawn before V: seeds pin this order
-    return ReducedTransceivers(U, tuple(_complex_normal(rng, s) for s in tx))
-
-
-def _check_point(point, shapes, kind: str) -> None:
-    """Raise ``ValueError`` naming the first block of ``point`` whose shape differs from ``shapes``.
-
-    ``shapes`` is ``(rx, tx)``: :func:`free_shapes` for a reduced point, else ``(N_k, d_k)``, ``(M_j, d_j)``."""
-    for name, blocks, want in (("decoder", point.U, shapes[0]), ("precoder", point.V, shapes[1])):
-        if len(blocks) != len(want):
-            raise ValueError(f"{kind} transceivers have {len(blocks)} {name}s, expected {len(want)}")
-        for node, (block, w) in enumerate(zip(blocks, want), start=1):
-            if block.shape != w:
-                raise ValueError(f"{kind} {name} {node} has shape {block.shape}, expected {w}")
-
-
 def _lift(block: np.ndarray) -> np.ndarray:
     """``[I; block]``: the identity stacked on top of a free block."""
     return np.vstack([np.eye(block.shape[1], dtype=np.complex128), block])
@@ -129,7 +85,7 @@ def _full_residuals(problem: Problem, ts: TransceiverSet):
             yield ts.U[k - 1].conj().T @ H @ ts.V[j - 1]
 
 
-def residual_vector(problem: Problem, rt: ReducedTransceivers) -> np.ndarray:
+def residual_vector(problem: Problem, ts: TransceiverSet) -> np.ndarray:
     """All residuals stacked in canonical order.
 
     Pairs are taken lexicographically and the block for ``(k, j)`` is laid
@@ -137,15 +93,15 @@ def residual_vector(problem: Problem, rt: ReducedTransceivers) -> np.ndarray:
     ``(p-1) d_j + (q-1)``.  This matches the row order of the first-order
     coefficient matrix and of the Jacobian.
     """
-    _check_point(rt, free_shapes(problem.cfg), "reduced")
+    check_transceivers(problem.cfg, ts)
     return np.concatenate([np.zeros(0, dtype=np.complex128)] + [
-        R.reshape(-1) for R in _full_residuals(problem, lift_transceivers(rt))])
+        R.reshape(-1) for R in _full_residuals(problem, ts)])
 
 
-def leakage(problem: Problem, rt: ReducedTransceivers) -> float:
+def leakage(problem: Problem, ts: TransceiverSet) -> float:
     """Total interference leakage: sum of squared residual magnitudes over the alignment set."""
-    _check_point(rt, free_shapes(problem.cfg), "reduced")
-    return sum(frobenius_norm_sq(R) for R in _full_residuals(problem, lift_transceivers(rt)))
+    check_transceivers(problem.cfg, ts)
+    return sum(frobenius_norm_sq(R) for R in _full_residuals(problem, ts))
 
 
 def _update_side(links, partners, own, d, solve) -> tuple[np.ndarray, ...]:
@@ -162,37 +118,36 @@ def _update_side(links, partners, own, d, solve) -> tuple[np.ndarray, ...]:
     return tuple(new)
 
 
-def _ls_solve(parts, d: int) -> np.ndarray:
-    """``X = -(G_top G_bot^+)^H`` with ``G = [parts]`` split at row ``d``: the
-    least-squares minimizer of the node's residuals ``G_top + X^H G_bot``."""
+def _als_solve(parts, d: int) -> np.ndarray:
+    """``[I; X]`` with ``X = -(G_top G_bot^+)^H`` and ``G = [parts]`` split at
+    row ``d``: ``X`` is the least-squares minimizer of the node's residuals
+    ``G_top + X^H G_bot``."""
     G = np.hstack(parts)
-    return -(G[:d] @ pseudo_inverse(G[d:])).conj().T
+    return _lift(-(G[:d] @ pseudo_inverse(G[d:])).conj().T)
 
 
-def receiver_update(problem: Problem, rt: ReducedTransceivers) -> ReducedTransceivers:
-    """Exact leakage minimizer over every reduced decoder, precoders held fixed.
+def receiver_update(problem: Problem, ts: TransceiverSet) -> TransceiverSet:
+    """Exact leakage minimizer over every free decoder block, precoders held fixed.
 
     For each receiver ``k`` with at least one aligned pair, ``G_k`` stacks
     ``H_kj V_j`` horizontally over the aligned transmitters and the decoder
-    becomes ``U~_k = -(B_k A_k^+)^H`` with ``B_k`` the top ``d_k`` rows of
-    ``G_k`` and ``A_k`` the rest; the pseudo-inverse makes the update well
-    defined even when ``A_k`` is rank deficient.  Receivers with no aligned
-    pair keep their block.
+    becomes ``U_k = [I; U~_k]`` with ``U~_k = -(B_k A_k^+)^H``, ``B_k`` the
+    top ``d_k`` rows of ``G_k`` and ``A_k`` the rest; the pseudo-inverse
+    makes the update well defined even when ``A_k`` is rank deficient.
+    Receivers with no aligned pair keep their block.
     """
-    _check_point(rt, free_shapes(problem.cfg), "reduced")
-    U = _update_side(problem.by_rx, [_lift(v) for v in rt.V], rt.U, problem.cfg.d, _ls_solve)
-    return ReducedTransceivers(U, rt.V)
+    check_transceivers(problem.cfg, ts)
+    return TransceiverSet(_update_side(problem.by_rx, ts.V, ts.U, problem.cfg.d, _als_solve), ts.V)
 
 
-def transmitter_update(problem: Problem, rt: ReducedTransceivers) -> ReducedTransceivers:
-    """Exact leakage minimizer over every reduced precoder, decoders held fixed.
+def transmitter_update(problem: Problem, ts: TransceiverSet) -> TransceiverSet:
+    """Exact leakage minimizer over every free precoder block, decoders held fixed.
 
     :func:`receiver_update` on the reciprocal network: ``G_j`` stacks
     ``H_kj^H U_k`` over the aligned receivers and ``V~_j = -(B_j A_j^+)^H``.
     """
-    _check_point(rt, free_shapes(problem.cfg), "reduced")
-    V = _update_side(problem.by_tx, [_lift(u) for u in rt.U], rt.V, problem.cfg.d, _ls_solve)
-    return ReducedTransceivers(rt.U, V)
+    check_transceivers(problem.cfg, ts)
+    return TransceiverSet(ts.U, _update_side(problem.by_tx, ts.U, ts.V, problem.cfg.d, _als_solve))
 
 
 def normalized_interference_db(leakage_initial: float, leakage_t: float) -> float:
@@ -249,11 +204,12 @@ def _alternate(problem: Problem, V0, solve, *, max_iters, leak_tol, target_db,
                norm_db_of=None):
     """The round loop of both algorithms, on full transceivers.
 
-    Decoders start at ``U_k = [I; 0]`` and precoders at ``V0``.  A round is
-    the receive sweep over ``problem.by_rx`` then the transmit sweep over
-    ``problem.by_tx``, both by :func:`_update_side`: a node with ``d`` streams
-    gets the full block ``solve(parts, d)``.  The run stops at tolerance,
-    stall or budget.  ``norm_db_of(ts)`` is the dB correction that rescales
+    Decoders start at ``U_k = [I; 0]`` (:meth:`TransceiverSet.identity`) and
+    precoders at ``V0``.  A round is the receive sweep over ``problem.by_rx``
+    then the transmit sweep over ``problem.by_tx``, both by
+    :func:`_update_side`: a node with ``d`` streams gets the full block
+    ``solve(parts, d)``.  The run stops at tolerance, stall or budget.
+    ``norm_db_of(ts)`` is the dB correction that rescales
     the current transceivers to their initial total power (the
     fair-comparison convention); omitted for algorithms whose iterates keep
     constant power.  The recorded leakage is always the raw objective, which
@@ -266,7 +222,7 @@ def _alternate(problem: Problem, V0, solve, *, max_iters, leak_tol, target_db,
     if target_db is not None and math.isnan(target_db):
         raise ValueError("target_db must not be NaN")
     cfg = problem.cfg
-    ts = TransceiverSet(tuple(np.eye(n, d, dtype=np.complex128) for n, d in zip(cfg.N, cfg.d)), V0)
+    ts = TransceiverSet(TransceiverSet.identity(cfg).U, V0)
     leak0 = sum(frobenius_norm_sq(R) for R in _full_residuals(problem, ts))
     norm0 = norm_db_of(ts) if norm_db_of is not None else 0.0
     points = [(0, leak0, 0.0)]
@@ -298,15 +254,14 @@ def _alternate(problem: Problem, V0, solve, *, max_iters, leak_tol, target_db,
 def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
             max_iters: int = 5000, leak_tol: float = 0.0, seed: int = 0,
             target_db: float | None = None):
-    """Alternating least-squares alignment in the reduced variables.
+    """Alternating least-squares alignment in the free blocks ``U_k[d_k:]``, ``V_j[d_j:]``.
 
-    Starts from random Gaussian reduced precoders (decoders start at zero,
-    i.e. identity-lifted) and alternates the sweeps of
+    Starts from random Gaussian free precoder blocks (decoders start at
+    ``[I; 0]``) and alternates the sweeps of
     :func:`receiver_update` / :func:`transmitter_update` until the leakage
     drops below ``leak_tol``, the run reaches ``target_db`` relative
     suppression, the relative leakage change over a round falls below
-    ``STALL_REL_CHANGE``, or ``max_iters`` rounds elapse.  The run works on
-    the lifted transceivers ``[I; X]`` throughout.
+    ``STALL_REL_CHANGE``, or ``max_iters`` rounds elapse.
 
     The trace's leakage column is the raw objective (nonincreasing every
     round).  Its ``I_dB`` column reports the suppression of the *rescaled*
@@ -332,9 +287,8 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
             (sum(cfg.d[: cfg.K]) + sum(frobenius_norm_sq(u[d:]) for u, d in zip(ts.U, cfg.d)))
             * (sum(cfg.d) + sum(frobenius_norm_sq(v[d:]) for v, d in zip(ts.V, cfg.d))))
 
-    return _alternate(problem, V0, lambda parts, d: _lift(_ls_solve(parts, d)),
-                      max_iters=max_iters, leak_tol=leak_tol, target_db=target_db,
-                      norm_db_of=norm_db)
+    return _alternate(problem, V0, _als_solve, max_iters=max_iters, leak_tol=leak_tol,
+                      target_db=target_db, norm_db_of=norm_db)
 
 
 def _least_dominant(parts, d: int) -> np.ndarray:
@@ -373,11 +327,6 @@ def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
                       leak_tol=leak_tol, target_db=target_db)
 
 
-def lift_transceivers(rt: ReducedTransceivers) -> TransceiverSet:
-    """Stack the identity on top of each free block: ``U_k = [I; U~_k]``, ``V_j = [I; V~_j]``."""
-    return TransceiverSet(tuple(map(_lift, rt.U)), tuple(map(_lift, rt.V)))
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of checking a candidate solution against the design constraints."""
@@ -396,12 +345,13 @@ def verify_solution(cfg: NetworkConfig, alignment, channel: Channel,
     ``U_k^H H_kk V_k`` has numerical rank ``d_k``, and (c) each jammer
     precoder has numerical rank ``d_j``.  Failures are reported
     individually.  ``tol`` must be finite and nonnegative, and a block of
-    ``ts`` of the wrong shape raises ``ValueError`` naming it.
+    ``ts`` of the wrong shape or with a non-finite entry raises
+    ``ValueError`` naming it.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
     problem = Problem(cfg, alignment, channel)
-    _check_point(ts, (tuple(zip(cfg.N, cfg.d)), tuple(zip(cfg.M, cfg.d))), "full")
+    check_transceivers(cfg, ts)
     failures: list[str] = []
     max_res = 0.0
     for R in _full_residuals(problem, ts):

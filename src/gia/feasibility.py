@@ -1,18 +1,22 @@
 """Feasibility analysis of the alignment problem.
 
-The zero-forcing constraints, written in the reduced transceiver variables,
-are polynomials whose first-order coefficient vectors assemble into one
-structured block matrix: one row block per aligned pair ``(k, j)`` (in
-canonical order, ``d_k d_j`` rows each) and one column block per node's free
-variables (reduced decoders first, then reduced precoders, column-major
-within a block; derivatives are taken with respect to the conjugated decoder
-blocks, which is what makes the residuals jointly polynomial).  The problem
+The zero-forcing constraints, written in the normalized transceivers
+``U_k = [I; U~_k]`` and ``V_j = [I; V~_j]``, are polynomials in the free
+blocks, the views ``U_k[d_k:]`` and ``V_j[d_j:]`` of a
+:class:`~gia.network.TransceiverSet`.  Their first-order coefficient vectors
+assemble into one structured block matrix: one row block per aligned pair
+``(k, j)`` (in canonical order, ``d_k d_j`` rows each) and one column block
+per node's free variables (free decoder blocks first, then free precoder
+blocks, column-major within a block; derivatives are taken with respect to
+the conjugated decoder blocks, which is what makes the residuals jointly
+polynomial).  The problem
 is solvable for almost every channel iff this matrix has full row rank, so a
 single random channel realization decides feasibility for the whole
 configuration/alignment-set class.
 
-The coefficient matrix is the Jacobian of the residuals at the all-zero
-point, so one assembly serves both.
+The coefficient matrix is the Jacobian of the residuals at
+:meth:`TransceiverSet.identity <gia.network.TransceiverSet.identity>`, where
+every free block is zero, so one assembly serves both.
 
 Besides the generic rank test this module implements the cheap necessary
 counting condition (properness) and two closed-form special cases (symmetric
@@ -32,16 +36,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aligner import ReducedTransceivers, zero_reduced
 from .linalg import numerical_rank
 from .network import (
     Channel,
     NetworkConfig,
     Pair,
     Problem,
+    TransceiverSet,
     _check_seed,
     canonical_alignment,
     check_channel,
+    check_transceivers,
     free_shapes,
     generate_channel,
 )
@@ -121,15 +126,20 @@ def _layout(cfg: NetworkConfig, pairs) -> tuple[dict[Pair, int], dict[tuple[str,
     return row_index, col_index, off, n_vars
 
 
-def _jacobian(problem: Problem, point: ReducedTransceivers) -> CoefficientMatrix:
+def _jacobian(problem: Problem, ts: TransceiverSet) -> CoefficientMatrix:
+    """Derivatives of the residuals ``U_k^H H_kj V_j`` w.r.t. the free blocks at ``ts``.
+
+    ``A = H_kj[d_k:] V_j`` multiplies the conjugated decoder block and
+    ``C = U_k^H H_kj[:, d_j:]`` the precoder block, whatever the top blocks are.
+    """
     cfg = problem.cfg
     row_index, col_index, n_rows, n_vars = _layout(cfg, problem.pairs)
     mat = np.zeros((n_rows, n_vars), dtype=np.complex128)
     for k, j in problem.pairs:
         dk, dj = cfg.d[k - 1], cfg.d[j - 1]
         H = problem.channel[(k, j)]
-        A = H[dk:, :dj] + H[dk:, dj:] @ point.V[j - 1]
-        C = H[:dk, dj:] + point.U[k - 1].conj().T @ H[dk:, dj:]
+        A = H[dk:] @ ts.V[j - 1]
+        C = ts.U[k - 1].conj().T @ H[:, dj:]
         bu = np.kron(np.eye(dk), A.T)
         bv = np.vstack([np.kron(np.eye(dj), C[p : p + 1, :]) for p in range(dk)])
         r, cu, cv = row_index[(k, j)], col_index[("U", k)], col_index[("V", j)]
@@ -141,25 +151,31 @@ def _jacobian(problem: Problem, point: ReducedTransceivers) -> CoefficientMatrix
 def build_coefficient_matrix(cfg: NetworkConfig, alignment, channel: Channel) -> CoefficientMatrix:
     """Assemble the full first-order coefficient matrix for an alignment set.
 
-    This is the Jacobian of the residuals at the all-zero point: the block of
+    This is the Jacobian of the residuals at
+    :meth:`TransceiverSet.identity <gia.network.TransceiverSet.identity>`,
+    where every free block is zero: the block of
     pair ``(k, j)`` w.r.t. receiver ``k`` is block diagonal with ``d_k``
     copies of ``H_kj[d_k:, :d_j].T``, and its row block ``p`` w.r.t.
     transmitter ``j`` is block diagonal with ``d_j`` copies of the row
     ``H_kj[p, d_j:]``.
     """
-    return _jacobian(Problem(cfg, alignment, channel), zero_reduced(cfg))
+    return _jacobian(Problem(cfg, alignment, channel), TransceiverSet.identity(cfg))
 
 
 def build_jacobian(cfg: NetworkConfig, alignment, channel: Channel,
-                   point: ReducedTransceivers) -> np.ndarray:
-    """Jacobian of the residuals at ``point``, w.r.t. (conjugated decoder, precoder) variables.
+                   ts: TransceiverSet) -> np.ndarray:
+    """Jacobian of the residuals at ``ts`` w.r.t. its free blocks.
 
-    Same block layout as :func:`build_coefficient_matrix`; the channel
-    entries inside each block gain the first-order correction induced by the
-    other side's current value.  At the all-zero point this equals the
-    coefficient matrix exactly.
+    The variables are the conjugated free decoder blocks ``U_k[d_k:]`` and
+    the free precoder blocks ``V_j[d_j:]``, views of the one transceiver
+    type, in the block layout of :func:`build_coefficient_matrix`.  At
+    :meth:`TransceiverSet.identity <gia.network.TransceiverSet.identity>` this
+    equals the coefficient matrix exactly.  A block of ``ts`` of the wrong
+    shape or with a non-finite entry raises ``ValueError`` naming it.
     """
-    return _jacobian(Problem(cfg, alignment, channel), point).matrix
+    problem = Problem(cfg, alignment, channel)
+    check_transceivers(cfg, ts)
+    return _jacobian(problem, ts).matrix
 
 
 def check_proper(cfg: NetworkConfig, alignment):

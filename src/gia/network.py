@@ -26,6 +26,7 @@ __all__ = [
     "TransceiverSet",
     "Pair",
     "Channel",
+    "check_transceivers",
     "alignment_all",
     "canonical_alignment",
     "free_shapes",
@@ -124,7 +125,12 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class TransceiverSet:
-    """Full decoders ``U[k-1]`` (``N_k x d_k``) and precoders ``V[j-1]`` (``M_j x d_j``)."""
+    """Decoders ``U[k-1]`` (``N_k x d_k``) and precoders ``V[j-1]`` (``M_j x d_j``).
+
+    This is the package's one transceiver type.  The free variables of the
+    normalized form ``U_k = [I; U~_k]``, ``V_j = [I; V~_j]`` are the views
+    ``U[k-1][d_k:]`` and ``V[j-1][d_j:]``; see :func:`free_shapes`.
+    """
 
     U: tuple[np.ndarray, ...]
     V: tuple[np.ndarray, ...]
@@ -132,6 +138,12 @@ class TransceiverSet:
     def __post_init__(self):
         object.__setattr__(self, "U", tuple(np.asarray(u, dtype=np.complex128) for u in self.U))
         object.__setattr__(self, "V", tuple(np.asarray(v, dtype=np.complex128) for v in self.V))
+
+    @classmethod
+    def identity(cls, cfg: NetworkConfig) -> TransceiverSet:
+        """``U_k = [I; 0]`` and ``V_j = [I; 0]``: every free block is zero."""
+        return cls(tuple(np.eye(n, d, dtype=np.complex128) for n, d in zip(cfg.N, cfg.d)),
+                   tuple(np.eye(m, d, dtype=np.complex128) for m, d in zip(cfg.M, cfg.d)))
 
 
 def alignment_all(cfg: NetworkConfig) -> tuple[Pair, ...]:
@@ -228,8 +240,22 @@ def check_channel(cfg: NetworkConfig, channel: Channel) -> None:
                 raise ConfigError(f"channel ({k},{j}) has non-finite entries")
 
 
+def check_transceivers(cfg: NetworkConfig, ts: TransceiverSet) -> None:
+    """Verify ``ts`` has one finite ``N_k x d_k`` decoder per receiver and one
+    finite ``M_j x d_j`` precoder per transmitter; ``ValueError`` names the first bad block."""
+    for name, blocks, rows in (("decoder", ts.U, cfg.N), ("precoder", ts.V, cfg.M)):
+        if len(blocks) != len(rows):
+            raise ValueError(f"transceivers have {len(blocks)} {name}s, expected {len(rows)}")
+        for node, (block, n, d) in enumerate(zip(blocks, rows, cfg.d), start=1):
+            if block.shape != (n, d):
+                raise ValueError(f"{name} {node} has shape {block.shape}, expected {(n, d)}")
+            if not np.isfinite(block).all():
+                raise ValueError(f"{name} {node} has non-finite entries")
+
+
 def free_shapes(cfg: NetworkConfig):
-    """Shapes of the free transceiver blocks, ``U~_k = U_k[d_k:]`` and ``V~_j = V_j[d_j:]``.
+    """Shapes of the free transceiver blocks, the views ``U~_k = U_k[d_k:]`` and
+    ``V~_j = V_j[d_j:]`` of a :class:`TransceiverSet`.
 
     Returns ``(rx, tx)``: ``rx[k-1] = (N_k - d_k, d_k)`` for receivers
     ``1..K`` and ``tx[j-1] = (M_j - d_j, d_j)`` for transmitters ``1..K+J``.

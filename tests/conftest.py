@@ -8,8 +8,8 @@ finite differences over the residual map.
 import numpy as np
 import pytest
 
-from gia.aligner import ReducedTransceivers, residual_vector
-from gia.network import NetworkConfig
+from gia.aligner import residual_vector
+from gia.network import NetworkConfig, TransceiverSet, _complex_normal, free_shapes
 
 # The three reference networks: feasible symmetric, feasible asymmetric, infeasible.
 CONFIG_SYM = NetworkConfig(K=3, J=0, M=(6, 6, 6), N=(6, 6, 6), d=(3, 3, 3))
@@ -49,15 +49,24 @@ def gauss_rank(matrix, rel_tol=1e-10):
     return r
 
 
-def perturbed(rt, side, node, row, col, delta):
-    """Copy of ``rt`` with one free-block entry shifted by ``delta``."""
-    U = [u.copy() for u in rt.U]
-    V = [v.copy() for v in rt.V]
-    if side == "U":
-        U[node - 1][row, col] += delta
-    else:
-        V[node - 1][row, col] += delta
-    return ReducedTransceivers(tuple(U), tuple(V))
+def random_point(cfg, seed):
+    """Transceivers ``[I; X]`` whose free blocks ``X`` are i.i.d. standard
+    complex Gaussian, drawn from ``default_rng(seed)``, decoders before precoders."""
+    rng = np.random.default_rng(seed)
+    free = [[_complex_normal(rng, s) for s in shapes] for shapes in free_shapes(cfg)]
+    U, V = ([np.vstack([np.eye(x.shape[1], dtype=np.complex128), x]) for x in blocks]
+            for blocks in free)
+    return TransceiverSet(tuple(U), tuple(V))
+
+
+def perturbed(ts, side, node, row, col, delta):
+    """Copy of ``ts`` with entry ``(row, col)`` of one free block ``X[d:]``
+    shifted by ``delta``."""
+    U = [u.copy() for u in ts.U]
+    V = [v.copy() for v in ts.V]
+    block = (U if side == "U" else V)[node - 1]
+    block[block.shape[1] + row, col] += delta
+    return TransceiverSet(tuple(U), tuple(V))
 
 
 def variable_order(cfg):
@@ -74,20 +83,22 @@ def variable_order(cfg):
     return out
 
 
-def fd_jacobian(problem, rt, step=1e-6):
-    """Jacobian of the residual vector by central differences.
+def fd_jacobian(problem, ts, step=1e-6):
+    """Jacobian of the residual vector at ``ts`` by central differences in its free blocks.
 
-    A real step in a conjugated-decoder variable shifts the decoder entry by
-    the same real amount, so plain entry perturbations probe the canonical
-    variables directly.  The residuals are quadratic, so central differences
-    are exact up to roundoff.
+    The variables are the bottom entries ``X[d + s, q]`` of each transceiver
+    ``X``, the free blocks viewed in place.  A real step in a
+    conjugated-decoder variable shifts the decoder entry by the same real
+    amount, so plain entry perturbations probe the canonical variables
+    directly.  The residuals are quadratic, so central differences are exact
+    up to roundoff.
     """
     columns = []
     for side, node, row, col in variable_order(problem.cfg):
-        plus = residual_vector(problem, perturbed(rt, side, node, row, col, step))
-        minus = residual_vector(problem, perturbed(rt, side, node, row, col, -step))
+        plus = residual_vector(problem, perturbed(ts, side, node, row, col, step))
+        minus = residual_vector(problem, perturbed(ts, side, node, row, col, -step))
         columns.append((plus - minus) / (2.0 * step))
-    n_rows = residual_vector(problem, rt).shape[0]
+    n_rows = residual_vector(problem, ts).shape[0]
     if not columns:
         return np.zeros((n_rows, 0), dtype=np.complex128)
     return np.column_stack(columns)

@@ -11,13 +11,8 @@ import time
 
 import numpy as np
 
-from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM, fd_jacobian
-from gia.aligner import (
-    random_reduced,
-    run_gia,
-    verify_solution,
-    zero_reduced,
-)
+from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM, fd_jacobian, random_point
+from gia.aligner import run_gia, verify_solution
 from gia.feasibility import (
     build_coefficient_matrix,
     build_jacobian,
@@ -28,7 +23,14 @@ from gia.feasibility import (
 )
 from gia.harness import SamplingBounds, run_fig6, run_test1, sample_random_config
 from gia.linalg import numerical_rank
-from gia.network import NetworkConfig, Problem, alignment_all, generate_channel, scale_config
+from gia.network import (
+    NetworkConfig,
+    Problem,
+    TransceiverSet,
+    alignment_all,
+    generate_channel,
+    scale_config,
+)
 
 BENCHMARKS = {1: CONFIG_SYM, 2: CONFIG_ASYM, 3: CONFIG_INFEASIBLE}
 
@@ -193,12 +195,13 @@ def test_criterion_6_invariance_suite():
         if feasibility_check(cfg, pairs).feasible != feasibility_check(doubled, pairs).feasible:
             flips += 1
     ok &= flips == 0
-    # Jacobian at the zero point is exactly the coefficient matrix
+    # Jacobian at the identity point is exactly the coefficient matrix
     for cfg in probes:
         pairs = alignment_all(cfg)
         channel = generate_channel(cfg, 3)
         hall = build_coefficient_matrix(cfg, pairs, channel)
-        ok &= np.array_equal(build_jacobian(cfg, pairs, channel, zero_reduced(cfg)), hall.matrix)
+        jac = build_jacobian(cfg, pairs, channel, TransceiverSet.identity(cfg))
+        ok &= np.array_equal(jac, hall.matrix)
     # Jacobian matches central finite differences at 20 random points
     fd_cfgs = [
         CONFIG_SYM,
@@ -211,7 +214,7 @@ def test_criterion_6_invariance_suite():
         pairs = alignment_all(cfg)
         channel = generate_channel(cfg, 800 + idx)
         for point_seed in range(5):
-            point = random_reduced(cfg, 900 + 10 * idx + point_seed)
+            point = random_point(cfg, 900 + 10 * idx + point_seed)
             jac = build_jacobian(cfg, pairs, channel, point)
             fd = fd_jacobian(Problem(cfg, pairs, channel), point)
             err = float((np.abs(fd - jac) / np.maximum(np.abs(jac), 1.0)).max())

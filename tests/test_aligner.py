@@ -3,21 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM
+from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM, random_point
 from gia.aligner import (
     AlreadyAlignedError,
-    ReducedTransceivers,
     leakage,
-    lift_transceivers,
     normalized_interference_db,
-    random_reduced,
     receiver_update,
     residual_vector,
     run_classical_baseline,
     run_gia,
     transmitter_update,
     verify_solution,
-    zero_reduced,
 )
 from gia.network import NetworkConfig, Problem, TransceiverSet, alignment_all, generate_channel
 
@@ -30,34 +26,19 @@ def zero_cross_channel(cfg, seed=0):
     return channel
 
 
-class TestLift:
-    def test_zero_rows_gives_identity(self):
-        rt = ReducedTransceivers(
-            (np.zeros((0, 2)),), (np.zeros((0, 2)), np.zeros((1, 1)))
-        )
-        ts = lift_transceivers(rt)
-        np.testing.assert_array_equal(ts.U[0], np.eye(2))
-        np.testing.assert_array_equal(ts.V[0], np.eye(2))
-
-    def test_single_free_entry(self):
-        rt = ReducedTransceivers((np.array([[2 + 1j]]),), (np.array([[0j]]),))
-        ts = lift_transceivers(rt)
-        np.testing.assert_array_equal(ts.U[0], np.array([[1.0], [2 + 1j]]))
-
-    def test_round_trip_bottom_block(self):
-        cfg = CONFIG_SYM
-        rt = random_reduced(cfg, 3)
-        ts = lift_transceivers(rt)
-        for k in range(cfg.K):
-            dk = cfg.d[k]
-            np.testing.assert_array_equal(ts.U[k][:dk], np.eye(dk))
-            np.testing.assert_array_equal(ts.U[k][dk:], rt.U[k])
+def shift_free(X, rng, scale):
+    """Copy of ``X`` with its free block ``X[d:]`` shifted by ``scale`` times
+    complex Gaussian noise."""
+    Y = X.copy()
+    free = Y[Y.shape[1]:]
+    free += scale * (rng.standard_normal(free.shape) + 1j * rng.standard_normal(free.shape))
+    return Y
 
 
-def residual_entries(problem, rt):
+def residual_entries(problem, ts):
     """``(k, j, p, q) -> residual``, read from :func:`residual_vector` at offset
     ``(p-1) d_j + (q-1)`` inside the block of pair ``(k, j)``."""
-    vec = residual_vector(problem, rt)
+    vec = residual_vector(problem, ts)
     d = problem.cfg.d
     out = {}
     start = 0
@@ -75,23 +56,23 @@ class TestResiduals:
     def test_zero_point_gives_channel_entries(self):
         cfg = CONFIG_SYM
         channel = generate_channel(cfg, 1)
-        res = residual_entries(Problem(cfg, alignment_all(cfg), channel), zero_reduced(cfg))
+        res = residual_entries(Problem(cfg, alignment_all(cfg), channel),
+                               TransceiverSet.identity(cfg))
         for (k, j, p, q), value in res.items():
             assert value == channel[(k, j)][p - 1, q - 1]
 
     def test_zero_cross_channel_gives_zero(self):
         cfg = CONFIG_SYM
         problem = Problem(cfg, alignment_all(cfg), zero_cross_channel(cfg))
-        res = residual_entries(problem, random_reduced(cfg, 4))
+        res = residual_entries(problem, random_point(cfg, 4))
         assert all(v == 0 for v in res.values())
 
     def test_matches_lifted_product(self):
-        # oracle: direct product of the lifted transceivers
+        # oracle: direct product of the transceivers
         cfg = NetworkConfig(K=2, J=1, M=(4, 3, 5), N=(3, 4), d=(2, 1, 2))
         channel = generate_channel(cfg, 6)
-        rt = random_reduced(cfg, 8)
-        ts = lift_transceivers(rt)
-        res = residual_entries(Problem(cfg, alignment_all(cfg), channel), rt)
+        ts = random_point(cfg, 8)
+        res = residual_entries(Problem(cfg, alignment_all(cfg), channel), ts)
         for (k, j, p, q), value in res.items():
             direct = (ts.U[k - 1].conj().T @ channel[(k, j)] @ ts.V[j - 1])[p - 1, q - 1]
             assert abs(value - direct) <= 1e-12
@@ -99,17 +80,30 @@ class TestResiduals:
     def test_point_shape_checked(self):
         cfg = CONFIG_SYM
         problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, 0))
-        bad = ReducedTransceivers(zero_reduced(cfg).U, zero_reduced(CONFIG_INFEASIBLE).V)
+        bad = TransceiverSet(TransceiverSet.identity(cfg).U,
+                             TransceiverSet.identity(CONFIG_INFEASIBLE).V)
         for fn in (residual_vector, leakage, receiver_update, transmitter_update):
-            with pytest.raises(ValueError, match="reduced precoder 1"):
+            with pytest.raises(ValueError,
+                               match=r"precoder 1 has shape \(5, 3\), expected \(6, 3\)"):
                 fn(problem, bad)
+
+    def test_non_finite_point_rejected(self):
+        # a NaN entry would otherwise turn 6 of the 54 residuals into NaN
+        # without complaint, and fail in leakage naming no block
+        cfg = CONFIG_SYM
+        problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, 0))
+        ts = random_point(cfg, 1)
+        ts.V[0][4, 1] = np.nan
+        for fn in (residual_vector, leakage, receiver_update, transmitter_update):
+            with pytest.raises(ValueError, match="precoder 1 has non-finite entries"):
+                fn(problem, ts)
 
 
 class TestLeakage:
     def test_zero(self):
         cfg = CONFIG_SYM
         problem = Problem(cfg, alignment_all(cfg), zero_cross_channel(cfg))
-        assert leakage(problem, random_reduced(cfg, 1)) == 0.0
+        assert leakage(problem, random_point(cfg, 1)) == 0.0
 
     def test_single_pair_value(self):
         cfg = NetworkConfig(K=2, J=0, M=(1, 1), N=(1, 1), d=(1, 1))
@@ -119,83 +113,77 @@ class TestLeakage:
             (2, 1): np.array([[0j]]),
             (2, 2): np.array([[1.0 + 0j]]),
         }
-        rt = zero_reduced(cfg)
-        assert leakage(Problem(cfg, [(1, 2)], channel), rt) == pytest.approx(25.0)
+        ts = TransceiverSet.identity(cfg)
+        assert leakage(Problem(cfg, [(1, 2)], channel), ts) == pytest.approx(25.0)
 
     def test_recomposition(self):
         cfg = NetworkConfig(K=3, J=0, M=(4, 4, 4), N=(3, 5, 4), d=(2, 2, 1))
         problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, 3))
-        rt = random_reduced(cfg, 9)
-        total = float(np.sum(np.abs(residual_vector(problem, rt)) ** 2))
-        assert leakage(problem, rt) == pytest.approx(total, rel=1e-12)
+        ts = random_point(cfg, 9)
+        total = float(np.sum(np.abs(residual_vector(problem, ts)) ** 2))
+        assert leakage(problem, ts) == pytest.approx(total, rel=1e-12)
 
 
 class TestReceiverUpdate:
     def test_receiver_without_pairs_unchanged(self):
         cfg = NetworkConfig(K=2, J=0, M=(3, 3), N=(3, 3), d=(1, 1))
-        rt = random_reduced(cfg, 5)
-        out = receiver_update(Problem(cfg, [(1, 2)], generate_channel(cfg, 0)), rt)
-        np.testing.assert_array_equal(out.U[1], rt.U[1])
-        assert not np.array_equal(out.U[0], rt.U[0])
+        ts = random_point(cfg, 5)
+        out = receiver_update(Problem(cfg, [(1, 2)], generate_channel(cfg, 0)), ts)
+        np.testing.assert_array_equal(out.U[1], ts.U[1])
+        assert not np.array_equal(out.U[0], ts.U[0])
 
     def test_scalar_least_squares_oracle(self):
         # d=1, one pair, N_k=2: minimize |B + conj(u) A| over u, solved by hand
         cfg = NetworkConfig(K=2, J=0, M=(2, 2), N=(2, 2), d=(1, 1))
         channel = generate_channel(cfg, 11)
         problem = Problem(cfg, [(1, 2)], channel)
-        rt = random_reduced(cfg, 7)
+        ts = random_point(cfg, 7)
         H = channel[(1, 2)]
-        v = rt.V[1]
-        A = H[1, 0] + H[1, 1] * v[0, 0]
-        B = H[0, 0] + H[0, 1] * v[0, 0]
+        v = ts.V[1]
+        A = H[1, 0] + H[1, 1] * v[1, 0]
+        B = H[0, 0] + H[0, 1] * v[1, 0]
         expected = -np.conj(B / A)
-        out = receiver_update(problem, rt)
-        assert abs(out.U[0][0, 0] - expected) <= 1e-12
+        out = receiver_update(problem, ts)
+        assert abs(out.U[0][1, 0] - expected) <= 1e-12
         # square system: the single constraint is solved exactly
         assert abs(residual_entries(problem, out)[(1, 2, 1, 1)]) <= 1e-12
 
     def test_first_update_strictly_decreases(self):
         cfg = CONFIG_SYM
         problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, 0))
-        rt = ReducedTransceivers(zero_reduced(cfg).U, random_reduced(cfg, 1).V)
-        before = leakage(problem, rt)
-        after = leakage(problem, receiver_update(problem, rt))
+        ts = TransceiverSet(TransceiverSet.identity(cfg).U, random_point(cfg, 1).V)
+        before = leakage(problem, ts)
+        after = leakage(problem, receiver_update(problem, ts))
         assert after < before
 
     def test_exact_minimizer_first_order_optimality(self):
         cfg = CONFIG_SYM
         problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, 2))
-        rt = receiver_update(problem, random_reduced(cfg, 3))
-        base = leakage(problem, rt)
+        ts = receiver_update(problem, random_point(cfg, 3))
+        base = leakage(problem, ts)
         rng = np.random.default_rng(4)
         for _ in range(25):
-            delta = tuple(
-                u + 1e-5 * (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
-                for u in rt.U
-            )
-            assert leakage(problem, ReducedTransceivers(delta, rt.V)) >= base - 1e-12
+            delta = tuple(shift_free(u, rng, 1e-5) for u in ts.U)
+            assert leakage(problem, TransceiverSet(delta, ts.V)) >= base - 1e-12
 
 
 class TestTransmitterUpdate:
     def test_transmitter_without_pairs_unchanged(self):
         cfg = NetworkConfig(K=2, J=0, M=(3, 3), N=(3, 3), d=(1, 1))
-        rt = random_reduced(cfg, 5)
-        out = transmitter_update(Problem(cfg, [(1, 2)], generate_channel(cfg, 0)), rt)
-        np.testing.assert_array_equal(out.V[0], rt.V[0])
-        assert not np.array_equal(out.V[1], rt.V[1])
+        ts = random_point(cfg, 5)
+        out = transmitter_update(Problem(cfg, [(1, 2)], generate_channel(cfg, 0)), ts)
+        np.testing.assert_array_equal(out.V[0], ts.V[0])
+        assert not np.array_equal(out.V[1], ts.V[1])
 
     def test_exact_minimizer_first_order_optimality(self):
         cfg = CONFIG_SYM
         problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, 2))
-        rt = transmitter_update(problem, random_reduced(cfg, 3))
-        base = leakage(problem, rt)
+        ts = transmitter_update(problem, random_point(cfg, 3))
+        base = leakage(problem, ts)
         rng = np.random.default_rng(4)
         for _ in range(25):
-            delta = tuple(
-                v + 1e-5 * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
-                for v in rt.V
-            )
-            assert leakage(problem, ReducedTransceivers(rt.U, delta)) >= base - 1e-12
+            delta = tuple(shift_free(v, rng, 1e-5) for v in ts.V)
+            assert leakage(problem, TransceiverSet(ts.U, delta)) >= base - 1e-12
 
     @pytest.mark.parametrize("partial", [False, True], ids=["all-pairs", "partial"])
     def test_is_receiver_update_of_reciprocal_network(self, partial):
@@ -207,12 +195,13 @@ class TestTransmitterUpdate:
         recip = NetworkConfig(K=3, J=0, M=cfg.N, N=cfg.M, d=cfg.d)
         recip_channel = {(j, k): h.conj().T for (k, j), h in channel.items()}
         recip_pairs = [(j, k) for k, j in pairs]
-        rt = random_reduced(cfg, 22)
-        out = transmitter_update(Problem(cfg, pairs, channel), rt)
+        ts = random_point(cfg, 22)
+        out = transmitter_update(Problem(cfg, pairs, channel), ts)
         mirror = receiver_update(Problem(recip, recip_pairs, recip_channel),
-                                 ReducedTransceivers(rt.V, rt.U))
-        for v, u in zip(out.V, mirror.U):
-            assert np.linalg.norm(v - u) <= 1e-12 * np.linalg.norm(v)
+                                 TransceiverSet(ts.V, ts.U))
+        for v, u, d in zip(out.V, mirror.U, cfg.d):
+            np.testing.assert_array_equal(v[:d], u[:d])
+            assert np.linalg.norm(v[d:] - u[d:]) <= 1e-12 * np.linalg.norm(v[d:])
         for a, b in zip(out.U, mirror.V):
             np.testing.assert_array_equal(a, b)
 
@@ -220,8 +209,7 @@ class TestTransmitterUpdate:
         # jammer with M_j - d_j >= d_k d_j zeroes its pair in one update
         cfg = NetworkConfig(K=1, J=1, M=(2, 4), N=(2,), d=(2, 1))
         problem = Problem(cfg, [(1, 2)], generate_channel(cfg, 13))
-        rt = random_reduced(cfg, 14)
-        out = transmitter_update(problem, rt)
+        out = transmitter_update(problem, random_point(cfg, 14))
         assert max(map(abs, residual_entries(problem, out).values())) <= 1e-10
 
     def test_monotone_over_alternating_updates(self):
@@ -233,12 +221,12 @@ class TestTransmitterUpdate:
             N = tuple(int(rng.integers(dk, 6)) for dk in d)
             cfg = NetworkConfig(K=K, J=0, M=M, N=N, d=d)
             problem = Problem(cfg, alignment_all(cfg), generate_channel(cfg, trial))
-            rt = random_reduced(cfg, trial)
-            prev = leakage(problem, rt)
+            ts = random_point(cfg, trial)
+            prev = leakage(problem, ts)
             for _ in range(10):
-                rt = receiver_update(problem, rt)
-                rt = transmitter_update(problem, rt)
-                cur = leakage(problem, rt)
+                ts = receiver_update(problem, ts)
+                ts = transmitter_update(problem, ts)
+                cur = leakage(problem, ts)
                 # below ~1e-24 the leakage is roundoff noise (entries are
                 # computed to ~1e-16 absolute and then squared)
                 assert cur <= max(prev * (1 + 1e-12), 1e-24)
@@ -301,18 +289,15 @@ class TestRunGia:
         pairs = alignment_all(cfg)
         channel = generate_channel(cfg, 3)
         ts, trace = run_gia(cfg, pairs, channel, max_iters=30, seed=3)
-        start, _ = run_gia(cfg, pairs, channel, max_iters=0, seed=3)
+        hand, _ = run_gia(cfg, pairs, channel, max_iters=0, seed=3)
         problem = Problem(cfg, pairs, channel)
-        hand = ReducedTransceivers(tuple(u[d:] for u, d in zip(start.U, cfg.d)),
-                                   tuple(v[d:] for v, d in zip(start.V, cfg.d)))
         leaks = [leakage(problem, hand)]
         for _ in range(30):
             hand = transmitter_update(problem, receiver_update(problem, hand))
             leaks.append(leakage(problem, hand))
         assert trace.rounds_used == 30
         np.testing.assert_array_equal(trace.leakages, leaks)
-        lifted = lift_transceivers(hand)
-        for a, b in zip(ts.U + ts.V, lifted.U + lifted.V):
+        for a, b in zip(ts.U + ts.V, hand.U + hand.V):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("run", [run_gia, run_classical_baseline])
@@ -337,9 +322,9 @@ class TestRunGia:
         import gia.aligner as aligner
         import gia.network as network
 
-        calls = {"canonical_alignment": 0, "check_channel": 0, "_check_point": 0}
+        calls = {"canonical_alignment": 0, "check_channel": 0, "check_transceivers": 0}
         for name, module in (("canonical_alignment", network), ("check_channel", network),
-                             ("_check_point", aligner)):
+                             ("check_transceivers", aligner)):
             def counted(*args, _name=name, _fn=getattr(module, name)):
                 calls[_name] += 1
                 return _fn(*args)
@@ -414,7 +399,7 @@ class TestVerifySolution:
         cfg = CONFIG_SYM
         pairs = alignment_all(cfg)
         channel = generate_channel(cfg, 4)
-        report = verify_solution(cfg, pairs, channel, lift_transceivers(zero_reduced(cfg)))
+        report = verify_solution(cfg, pairs, channel, TransceiverSet.identity(cfg))
         assert not report.passed
         assert any("residual" in f for f in report.failures)
 
@@ -424,19 +409,21 @@ class TestVerifySolution:
         channel = generate_channel(cfg, 4)
         with pytest.raises(ValueError, match="tol"):
             verify_solution(cfg, alignment_all(cfg), channel,
-                            lift_transceivers(zero_reduced(cfg)), tol=tol)
+                            TransceiverSet.identity(cfg), tol=tol)
 
     def test_transceiver_shapes_checked(self):
         cfg = CONFIG_SYM
         channel = generate_channel(cfg, 4)
-        ts = lift_transceivers(zero_reduced(cfg))
+        ts = TransceiverSet.identity(cfg)
         for bad, message in (
-            (TransceiverSet(ts.U[:2], ts.V), "full transceivers have 2 decoders, expected 3"),
-            (TransceiverSet(ts.U, ts.V + ts.V[:1]), "full transceivers have 4 precoders, expected 3"),
+            (TransceiverSet(ts.U[:2], ts.V), "transceivers have 2 decoders, expected 3"),
+            (TransceiverSet(ts.U, ts.V + ts.V[:1]), "transceivers have 4 precoders, expected 3"),
             (TransceiverSet((ts.U[0][:5],) + ts.U[1:], ts.V),
-             r"full decoder 1 has shape \(5, 3\), expected \(6, 3\)"),
+             r"decoder 1 has shape \(5, 3\), expected \(6, 3\)"),
             (TransceiverSet(ts.U, ts.V[:2] + (ts.V[2][:, :2],)),
-             r"full precoder 3 has shape \(6, 2\), expected \(6, 3\)"),
+             r"precoder 3 has shape \(6, 2\), expected \(6, 3\)"),
+            (TransceiverSet(ts.U[:1] + (ts.U[1] + np.inf,) + ts.U[2:], ts.V),
+             "decoder 2 has non-finite entries"),
         ):
             with pytest.raises(ValueError, match=message):
                 verify_solution(cfg, alignment_all(cfg), channel, bad)
@@ -444,13 +431,13 @@ class TestVerifySolution:
     def test_single_user_no_alignment_passes(self):
         cfg = NetworkConfig(K=1, J=0, M=(3,), N=(3,), d=(2,))
         channel = generate_channel(cfg, 5)
-        report = verify_solution(cfg, (), channel, lift_transceivers(zero_reduced(cfg)))
+        report = verify_solution(cfg, (), channel, TransceiverSet.identity(cfg))
         assert report.passed
 
     def test_rank_deficient_jammer_precoder_fails(self):
         cfg = NetworkConfig(K=1, J=1, M=(2, 3), N=(2,), d=(1, 2))
         channel = generate_channel(cfg, 6)
-        ts = lift_transceivers(zero_reduced(cfg))
+        ts = TransceiverSet.identity(cfg)
         bad_V = (ts.V[0], np.hstack([ts.V[1][:, :1], ts.V[1][:, :1]]))
         report = verify_solution(cfg, (), channel, TransceiverSet(ts.U, bad_V))
         assert not report.passed

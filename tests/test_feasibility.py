@@ -3,8 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM, fd_jacobian, gauss_rank
-from gia.aligner import random_reduced, zero_reduced
+from conftest import (
+    CONFIG_ASYM,
+    CONFIG_INFEASIBLE,
+    CONFIG_SYM,
+    fd_jacobian,
+    gauss_rank,
+    random_point,
+)
 from gia.feasibility import (
     build_coefficient_matrix,
     build_jacobian,
@@ -14,7 +20,14 @@ from gia.feasibility import (
     feasibility_check,
 )
 from gia.linalg import numerical_rank
-from gia.network import ConfigError, NetworkConfig, Problem, alignment_all, generate_channel
+from gia.network import (
+    ConfigError,
+    NetworkConfig,
+    Problem,
+    TransceiverSet,
+    alignment_all,
+    generate_channel,
+)
 
 
 def violates(cfg, sub):
@@ -120,11 +133,11 @@ class TestCoefficientBlocks:
         assert coeff_block(cfg, channel, 1, 2, "U").shape == (4, 0)
 
     def test_decoder_block_matches_linearization(self):
-        # oracle: finite differences of the residual map at the zero point
+        # oracle: finite differences of the residual map at the identity point
         cfg = NetworkConfig(K=2, J=0, M=(3, 2), N=(3, 4), d=(2, 1))
         pairs = ((1, 2),)
         channel = generate_channel(cfg, 8)
-        fd = fd_jacobian(Problem(cfg, pairs, channel), zero_reduced(cfg))
+        fd = fd_jacobian(Problem(cfg, pairs, channel), TransceiverSet.identity(cfg))
         hall = build_coefficient_matrix(cfg, pairs, channel)
         c0 = hall.col_index[("U", 1)]
         block = coeff_block(cfg, channel, 1, 2, "U")
@@ -147,7 +160,7 @@ class TestCoefficientBlocks:
         cfg = NetworkConfig(K=2, J=0, M=(3, 4), N=(2, 3), d=(1, 2))
         pairs = ((1, 2),)
         channel = generate_channel(cfg, 9)
-        fd = fd_jacobian(Problem(cfg, pairs, channel), zero_reduced(cfg))
+        fd = fd_jacobian(Problem(cfg, pairs, channel), TransceiverSet.identity(cfg))
         hall = build_coefficient_matrix(cfg, pairs, channel)
         c0 = hall.col_index[("V", 2)]
         block = coeff_block(cfg, channel, 1, 2, "V")
@@ -430,14 +443,14 @@ class TestJacobian:
             pairs = alignment_all(cfg)
             channel = generate_channel(cfg, 2)
             hall = build_coefficient_matrix(cfg, pairs, channel)
-            jac = build_jacobian(cfg, pairs, channel, zero_reduced(cfg))
+            jac = build_jacobian(cfg, pairs, channel, TransceiverSet.identity(cfg))
             np.testing.assert_array_equal(jac, hall.matrix)
 
     def test_matches_finite_differences_at_random_point(self):
         cfg = NetworkConfig(K=2, J=1, M=(4, 3, 4), N=(3, 4), d=(1, 2, 1))
         pairs = alignment_all(cfg)
         channel = generate_channel(cfg, 5)
-        point = random_reduced(cfg, 17)
+        point = random_point(cfg, 17)
         jac = build_jacobian(cfg, pairs, channel, point)
         fd = fd_jacobian(Problem(cfg, pairs, channel), point)
         err = np.abs(fd - jac) / np.maximum(np.abs(jac), 1.0)
@@ -445,8 +458,25 @@ class TestJacobian:
 
     def test_empty_alignment(self):
         channel = generate_channel(CONFIG_SYM, 0)
-        jac = build_jacobian(CONFIG_SYM, (), channel, zero_reduced(CONFIG_SYM))
+        jac = build_jacobian(CONFIG_SYM, (), channel, TransceiverSet.identity(CONFIG_SYM))
         assert jac.shape == (0, 54)
+
+    def test_point_checked(self):
+        # each of these used to give a 54 x 54 matrix or an IndexError
+        cfg = CONFIG_SYM
+        pairs = alignment_all(cfg)
+        channel = generate_channel(cfg, 0)
+        ts = random_point(cfg, 3)
+        nan_V = ts.V[0].copy()
+        nan_V[4, 1] = np.nan
+        for bad, message in (
+            (TransceiverSet(ts.U, (ts.V[0][:, :1],) + ts.V[1:]),
+             r"precoder 1 has shape \(6, 1\), expected \(6, 3\)"),
+            (TransceiverSet(ts.U[:2], ts.V), "transceivers have 2 decoders, expected 3"),
+            (TransceiverSet(ts.U, (nan_V,) + ts.V[1:]), "precoder 1 has non-finite entries"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build_jacobian(cfg, pairs, channel, bad)
 
 
 class TestVerdictInvariance:

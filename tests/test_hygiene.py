@@ -145,3 +145,48 @@ def test_unused_parameter_detected():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+#: The package's layers, lowest first: a module imports only from lower layers.
+LAYERS = ({"linalg", "network"}, {"aligner", "feasibility"}, {"harness"}, {"cli"})
+
+
+def layering_violations(sources: dict[str, str], package: str = "gia") -> list[str]:
+    """Imports of a ``package`` module that is not in a lower layer than the importer.
+
+    Relative imports and absolute ``package.x`` imports both count, and a
+    module that belongs to no layer is never lower.
+    """
+    layer = {module: i for i, group in enumerate(LAYERS) for module in group}
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [a.name.split(".") for a in node.names]
+                targets = [n[1] for n in names if n[0] == package and len(n) > 1]
+            elif isinstance(node, ast.ImportFrom):
+                parts = node.module.split(".") if node.module else []
+                if node.level == 0 and parts[:1] == [package]:
+                    parts = parts[1:]
+                elif node.level != 1:
+                    continue
+                targets = parts[:1] or [a.name for a in node.names]
+            else:
+                continue
+            found.extend(f"{module} line {node.lineno}: imports {target}" for target in targets
+                         if layer.get(target, len(LAYERS)) >= layer[module])
+    return found
+
+
+def test_layering_violation_detected():
+    sources = {"feasibility": "from .aligner import x\nfrom .network import y\nimport numpy\n",
+               "network": "from . import linalg\nimport gia.harness, os\n",
+               "cli": "from gia.harness import z\nfrom .tool import w\nfrom gia import aligner\n"}
+    assert layering_violations(sources) == [
+        "feasibility line 1: imports aligner", "network line 1: imports linalg",
+        "network line 2: imports harness", "cli line 2: imports tool"]
+
+
+def test_imports_point_to_lower_layers():
+    assert {p.stem for p in MODULES} == set().union(*LAYERS)
+    assert layering_violations({p.stem: p.read_text(encoding="utf-8") for p in MODULES}) == []

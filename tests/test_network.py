@@ -10,6 +10,7 @@ from gia.network import (
     ConfigParseError,
     NetworkConfig,
     Problem,
+    TransceiverSet,
     alignment_all,
     canonical_alignment,
     free_shapes,
@@ -129,6 +130,17 @@ class TestProblem:
     def test_free_shapes(self):
         cfg = NetworkConfig(K=2, J=1, M=(4, 3, 5), N=(3, 4), d=(2, 1, 2))
         assert free_shapes(cfg) == (((1, 2), (3, 1)), ((2, 2), (2, 1), (3, 2)))
+
+
+class TestTransceiverSet:
+    def test_identity_without_free_rows(self):
+        # d == N or d == M leaves an empty free block, so the node is the identity
+        cfg = NetworkConfig(K=1, J=1, M=(2, 2), N=(2,), d=(2, 1))
+        ts = TransceiverSet.identity(cfg)
+        np.testing.assert_array_equal(ts.U[0], np.eye(2))
+        np.testing.assert_array_equal(ts.V[0], np.eye(2))
+        np.testing.assert_array_equal(ts.V[1], [[1], [0]])
+        assert all(x.dtype == np.complex128 for x in ts.U + ts.V)
 
 
 class TestScaleConfig:
