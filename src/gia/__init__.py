@@ -8,11 +8,9 @@ harness.
 
 from .aligner import (
     PASS_THRESHOLD_DB,
-    AlreadyAlignedError,
     RunTrace,
     VerificationReport,
     leakage,
-    normalized_interference_db,
     receiver_update,
     run_classical_baseline,
     run_gia,

@@ -11,17 +11,17 @@ The classical iterative baseline (alternating eigenvector updates under
 orthonormality, exploiting uplink-downlink reciprocity) is included for
 comparison runs.
 
-Every point is a :class:`~gia.network.TransceiverSet`, and the free
-blocks are its views ``U_k[d_k:]`` and ``V_j[d_j:]``; there is no second
+Every point is a :class:`~gia.network.TransceiverSet`, and the free blocks
+are its views ``U_k[d_k:]`` and ``V_j[d_j:]``; there is no second
 transceiver type.  Both algorithms run one round loop, :func:`_alternate`,
-each with its own per-node solve; ALS's is :func:`_als_solve`, which the
-public reference sweeps (:func:`receiver_update`,
-:func:`transmitter_update`) share.  Every sweep is :func:`_update_side`
-over the links :class:`~gia.network.Problem` stores: ``by_rx`` for the
-receive sweep and ``by_tx``, the links ``H_kj^H`` of the reciprocal network,
-for the transmit sweep.  One residual routine forms every
-``U_k^H H_kj V_j``; leakage, the residual vector, the round loop and
-solution verification all take their products from it.  The public
+which alone computes ``I_dB``; each brings a start, a power rule and a
+per-node solve.  ALS's is :func:`_als_solve`, which the public reference
+sweeps (:func:`receiver_update`, :func:`transmitter_update`) share.  Every
+sweep is :func:`_update_side` over the links :class:`~gia.network.Problem`
+stores: ``by_rx`` for the receive sweep and ``by_tx``, the links ``H_kj^H``
+of the reciprocal network, for the transmit sweep.  One residual routine
+forms every ``U_k^H H_kj V_j``; leakage, the residual vector, the round loop
+and solution verification all take their products from it.  The public
 functions check their point with :func:`~gia.network.check_transceivers`;
 the round loop checks none.
 """
@@ -42,12 +42,11 @@ from .network import (
     TransceiverSet,
     _check_seed,
     _complex_normal,
+    _index,
     check_transceivers,
-    free_shapes,
 )
 
 __all__ = [
-    "AlreadyAlignedError",
     "RunTrace",
     "VerificationReport",
     "PASS_THRESHOLD_DB",
@@ -59,7 +58,6 @@ __all__ = [
     "run_gia",
     "run_classical_baseline",
     "verify_solution",
-    "normalized_interference_db",
 ]
 
 #: Interference-suppression level that counts as "aligned" in the randomized test.
@@ -67,10 +65,6 @@ PASS_THRESHOLD_DB = -60.0
 
 #: Relative leakage change per round below which a run is declared stalled.
 STALL_REL_CHANGE = 1e-12
-
-
-class AlreadyAlignedError(ValueError):
-    """Initial leakage is zero: the instance is degenerate (already aligned)."""
 
 
 def _lift(block: np.ndarray) -> np.ndarray:
@@ -104,8 +98,8 @@ def leakage(problem: Problem, ts: TransceiverSet) -> float:
     return sum(frobenius_norm_sq(R) for R in _full_residuals(problem, ts))
 
 
-def _update_side(links, partners, own, d, solve) -> tuple[np.ndarray, ...]:
-    """One sweep: node ``n`` of ``links`` gets ``solve(parts, d[n-1])``.
+def _update_side(links, partners, own, solve) -> tuple[np.ndarray, ...]:
+    """One sweep: node ``n`` of ``links`` gets ``solve(parts, own[n-1])``.
 
     ``parts`` is ``[L @ partners[p-1] for p, L in links[n]]``.  ``links`` is
     ``Problem.by_rx`` (links ``H_kj``, partners the precoders) or
@@ -114,14 +108,15 @@ def _update_side(links, partners, own, d, solve) -> tuple[np.ndarray, ...]:
     """
     new = list(own)
     for n, node_links in links.items():
-        new[n - 1] = solve([L @ partners[p - 1] for p, L in node_links], d[n - 1])
+        new[n - 1] = solve([L @ partners[p - 1] for p, L in node_links], own[n - 1])
     return tuple(new)
 
 
-def _als_solve(parts, d: int) -> np.ndarray:
+def _als_solve(parts, block: np.ndarray) -> np.ndarray:
     """``[I; X]`` with ``X = -(G_top G_bot^+)^H`` and ``G = [parts]`` split at
-    row ``d``: ``X`` is the least-squares minimizer of the node's residuals
-    ``G_top + X^H G_bot``."""
+    row ``d = block.shape[1]``: ``X`` is the least-squares minimizer of the
+    node's residuals ``G_top + X^H G_bot``."""
+    d = block.shape[1]
     G = np.hstack(parts)
     return _lift(-(G[:d] @ pseudo_inverse(G[d:])).conj().T)
 
@@ -137,7 +132,7 @@ def receiver_update(problem: Problem, ts: TransceiverSet) -> TransceiverSet:
     Receivers with no aligned pair keep their block.
     """
     check_transceivers(problem.cfg, ts)
-    return TransceiverSet(_update_side(problem.by_rx, ts.V, ts.U, problem.cfg.d, _als_solve), ts.V)
+    return TransceiverSet(_update_side(problem.by_rx, ts.V, ts.U, _als_solve), ts.V)
 
 
 def transmitter_update(problem: Problem, ts: TransceiverSet) -> TransceiverSet:
@@ -147,19 +142,7 @@ def transmitter_update(problem: Problem, ts: TransceiverSet) -> TransceiverSet:
     ``H_kj^H U_k`` over the aligned receivers and ``V~_j = -(B_j A_j^+)^H``.
     """
     check_transceivers(problem.cfg, ts)
-    return TransceiverSet(ts.U, _update_side(problem.by_tx, ts.U, ts.V, problem.cfg.d, _als_solve))
-
-
-def normalized_interference_db(leakage_initial: float, leakage_t: float) -> float:
-    """Leakage at round t relative to round 0, in dB (0 dB at t = 0 by construction)."""
-    if leakage_initial <= 0.0:
-        raise AlreadyAlignedError(
-            "initial leakage is zero; the instance is already aligned and the "
-            "normalized interference power is undefined"
-        )
-    if leakage_t == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(leakage_t / leakage_initial)
+    return TransceiverSet(ts.U, _update_side(problem.by_tx, ts.U, ts.V, _als_solve))
 
 
 @dataclass(frozen=True)
@@ -200,48 +183,43 @@ class RunTrace:
         Path(path).write_text("\n".join(self.csv_lines()) + "\n", encoding="utf-8")
 
 
-def _alternate(problem: Problem, V0, solve, *, max_iters, leak_tol, target_db,
-               norm_db_of=None):
+def _alternate(cfg: NetworkConfig, alignment, channel: Channel, *, seed, start, solve,
+               power_db, max_iters, leak_tol, target_db):
     """The round loop of both algorithms, on full transceivers.
 
-    Decoders start at ``U_k = [I; 0]`` (:meth:`TransceiverSet.identity`) and
-    precoders at ``V0``.  A round is the receive sweep over ``problem.by_rx``
-    then the transmit sweep over ``problem.by_tx``, both by
-    :func:`_update_side`: a node with ``d`` streams gets the full block
-    ``solve(parts, d)``.  The run stops at tolerance, stall or budget.
-    ``norm_db_of(ts)`` is the dB correction that rescales
-    the current transceivers to their initial total power (the
-    fair-comparison convention); omitted for algorithms whose iterates keep
-    constant power.  The recorded leakage is always the raw objective, which
-    is what the stall test and ``leak_tol`` act on.
+    An algorithm brings three rules.  Precoder ``j`` starts at
+    ``start(rng, M_j, d_j)``, with ``rng`` seeded by ``seed`` and decoders at
+    ``[I; 0]``.  A round is a receive then a transmit :func:`_update_side` by
+    ``solve``.  It records the raw leakage, which the stall test and
+    ``leak_tol`` act on, and ``I_dB = 10 log10(leak / leak0) + (power_db(ts0)
+    - power_db(ts))``, ``-inf`` at zero leakage.  The run stops at tolerance,
+    stall or budget; its stop rules are checked before any work.
     """
+    max_iters = _index(max_iters, "max_iters", ValueError)
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     if not leak_tol >= 0:
         raise ValueError(f"leak_tol must be nonnegative, got {leak_tol}")
     if target_db is not None and math.isnan(target_db):
         raise ValueError("target_db must not be NaN")
-    cfg = problem.cfg
-    ts = TransceiverSet(TransceiverSet.identity(cfg).U, V0)
+    problem = Problem(cfg, alignment, channel)
+    rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed)]))
+    ts = TransceiverSet(TransceiverSet.identity(cfg).U,
+                        tuple(start(rng, m, d) for m, d in zip(cfg.M, cfg.d)))
     leak0 = sum(frobenius_norm_sq(R) for R in _full_residuals(problem, ts))
-    norm0 = norm_db_of(ts) if norm_db_of is not None else 0.0
+    norm0 = power_db(ts)
     points = [(0, leak0, 0.0)]
     if leak0 == 0.0:
         return ts, RunTrace(tuple(points), True, "tolerance")
     prev = leak0
     stop = "max_iters"
     for t in range(1, max_iters + 1):
-        U = _update_side(problem.by_rx, ts.V, ts.U, cfg.d, solve)
-        ts = TransceiverSet(U, _update_side(problem.by_tx, U, ts.V, cfg.d, solve))
+        U = _update_side(problem.by_rx, ts.V, ts.U, solve)
+        ts = TransceiverSet(U, _update_side(problem.by_tx, U, ts.V, solve))
         leak = sum(frobenius_norm_sq(R) for R in _full_residuals(problem, ts))
-        idb = normalized_interference_db(leak0, leak)
-        if norm_db_of is not None:
-            idb += norm0 - norm_db_of(ts)
+        idb = (10.0 * math.log10(leak / leak0) if leak else -math.inf) + (norm0 - power_db(ts))
         points.append((t, leak, idb))
-        if leak < leak_tol or leak == 0.0:
-            stop = "tolerance"
-            break
-        if target_db is not None and idb <= target_db:
+        if leak < leak_tol or leak == 0.0 or (target_db is not None and idb <= target_db):
             stop = "tolerance"
             break
         if abs(prev - leak) < STALL_REL_CHANGE * prev:
@@ -265,11 +243,11 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
 
     The trace's leakage column is the raw objective (nonincreasing every
     round).  Its ``I_dB`` column reports the suppression of the *rescaled*
-    transceivers - each side scaled so its total power stays at the initial
-    value - which makes traces comparable with algorithms that keep
-    orthonormal transceivers; lifted identity-block iterates are not power
-    normalized, so the raw ratio alone would conflate suppression with
-    transceiver growth.
+    transceivers: ALS's power rule is the product of the two sides' total
+    power, and ``I_dB`` adds its fall since round 0 to the raw leakage ratio.
+    That makes traces comparable with algorithms that keep orthonormal
+    transceivers; lifted identity-block iterates are not power normalized, so
+    the raw ratio alone would conflate suppression with transceiver growth.
 
     Returns
     -------
@@ -277,22 +255,20 @@ def run_gia(cfg: NetworkConfig, alignment, channel: Channel, *,
         The full transceivers: every block has the identity on top of its
         free block, ``U_k = [I; U~_k]`` and ``V_j = [I; V~_j]``.
     """
-    problem = Problem(cfg, alignment, channel)
-    rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed)]))
-    V0 = tuple(_lift(_complex_normal(rng, s)) for s in free_shapes(cfg)[1])
-
     def norm_db(ts):
         # the identity block contributes d to trace(X^H X); x[d:] is the free block
         return 10.0 * math.log10(
             (sum(cfg.d[: cfg.K]) + sum(frobenius_norm_sq(u[d:]) for u, d in zip(ts.U, cfg.d)))
             * (sum(cfg.d) + sum(frobenius_norm_sq(v[d:]) for v, d in zip(ts.V, cfg.d))))
 
-    return _alternate(problem, V0, _als_solve, max_iters=max_iters, leak_tol=leak_tol,
-                      target_db=target_db, norm_db_of=norm_db)
+    return _alternate(cfg, alignment, channel, seed=seed,
+                      start=lambda rng, m, d: _lift(_complex_normal(rng, (m - d, d))),
+                      solve=_als_solve, power_db=norm_db, max_iters=max_iters,
+                      leak_tol=leak_tol, target_db=target_db)
 
 
-def _least_dominant(parts, d: int) -> np.ndarray:
-    """The ``d`` least-dominant eigenvectors of ``Q = sum P P^H`` over ``parts``."""
+def _least_dominant(parts, block: np.ndarray) -> np.ndarray:
+    """``block.shape[1]`` least-dominant eigenvectors of ``Q = sum P P^H`` over ``parts``."""
     # Q must be summed pair by pair in canonical order, not formed as one
     # product G G^H of the stacked parts: the classical traces depend on the
     # operation order.  Forming G G^H changed final_I_dB on all 88 feasible
@@ -300,7 +276,7 @@ def _least_dominant(parts, d: int) -> np.ndarray:
     # 16 dB) and rounds_used on 33.  The likely cause: when a node's
     # interference has rank below n - d, its least-dominant eigenspace has
     # more than d dimensions, and roundoff picks the basis.
-    n = parts[0].shape[0]
+    n, d = block.shape
     Q = np.zeros((n, n), dtype=np.complex128)
     for P in parts:
         Q += P @ P.conj().T
@@ -308,23 +284,23 @@ def _least_dominant(parts, d: int) -> np.ndarray:
 
 
 def run_classical_baseline(cfg: NetworkConfig, alignment, channel: Channel, *,
-                           max_iters: int = 5000, leak_tol: float = 0.0,
-                           seed: int = 0, target_db: float | None = None):
+                           max_iters: int = 5000, seed: int = 0,
+                           target_db: float | None = None):
     """Classical alternating leakage minimization with orthonormal transceivers.
 
     Each receiver sets its decoder to the ``d_k`` least-dominant eigenvectors
     of the interference covariance it sees; precoders are updated the same
-    way in the reciprocal network.  Columns stay orthonormal throughout.
+    way in the reciprocal network.  Columns stay orthonormal throughout, so
+    the power rule is a constant and ``I_dB`` is the raw leakage ratio.
 
     Returns
     -------
     (TransceiverSet, RunTrace)
     """
-    problem = Problem(cfg, alignment, channel)
-    rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed)]))
-    V0 = tuple(np.linalg.qr(_complex_normal(rng, s))[0] for s in zip(cfg.M, cfg.d))
-    return _alternate(problem, V0, _least_dominant, max_iters=max_iters,
-                      leak_tol=leak_tol, target_db=target_db)
+    return _alternate(cfg, alignment, channel, seed=seed,
+                      start=lambda rng, m, d: np.linalg.qr(_complex_normal(rng, (m, d)))[0],
+                      solve=_least_dominant, power_db=lambda _ts: 0.0, max_iters=max_iters,
+                      leak_tol=0.0, target_db=target_db)
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,13 @@ def _ints(text: str) -> tuple[int, ...]:
             f"{text!r} is not a comma-separated list of integers") from None
 
 
+def _check_parent(*paths) -> None:
+    """Fail before any work if the directory of an output path (``None``: none) is missing."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"directory of {path} does not exist")
+
+
 def _load(path, seed_flag):
     cfg, pairs, file_seed = load_config(path)
     seed = seed_flag if seed_flag is not None else (file_seed if file_seed is not None else 0)
@@ -111,6 +118,7 @@ def _cmd_feasibility(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    _check_parent(args.out, args.solution)
     cfg, pairs, seed = _load(args.config, args.seed)
     channel = generate_channel(cfg, seed)
     report = feasibility_check(cfg, pairs, channel, seed=seed)
@@ -137,6 +145,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_test1(args) -> int:
+    _check_parent(args.out)
     records, summary = run_test1(
         args.trials, algorithm=args.algorithm, seed=args.seed, budget=args.budget
     )
@@ -149,10 +158,10 @@ def _cmd_test1(args) -> int:
 
 
 def _cmd_fig6(args) -> int:
-    results = run_fig6(args.id, seeds=(args.seed,), rounds=args.rounds,
-                       target_db=args.stop_db)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    results = run_fig6(args.id, seeds=(args.seed,), rounds=args.rounds,
+                       target_db=args.stop_db)
     _, trace_gia, trace_classical = results[0]
     trace_gia.write_csv(out_dir / "gia.csv")
     trace_classical.write_csv(out_dir / "classical.csv")
@@ -163,6 +172,7 @@ def _cmd_fig6(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_parent(args.out)
     cfg, pairs, _ = load_config(args.config)
     # scaling multiplies antenna and stream counts, so the pairs stay valid
     rows = sweep_feasibility([cfg], alignment=pairs, channel_seeds=args.seeds,

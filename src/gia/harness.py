@@ -15,7 +15,7 @@ import numpy as np
 
 from .aligner import PASS_THRESHOLD_DB, RunTrace, run_classical_baseline, run_gia
 from .feasibility import FeasibilityReport, feasibility_check
-from .network import NetworkConfig, _check_seed, alignment_all, generate_channel, scale_config
+from .network import NetworkConfig, _check_seed, _index, alignment_all, generate_channel, scale_config
 
 __all__ = [
     "SamplingBounds",
@@ -50,11 +50,21 @@ def benchmark_config(config_id: int) -> NetworkConfig:
 
 @dataclass(frozen=True)
 class SamplingBounds:
-    """Sampling set for random interference networks (no jammers, all cross pairs)."""
+    """Sampling set for random interference networks (no jammers, all cross pairs).
+    Bounds on which a draw would fail raise ``ValueError`` naming the field."""
 
     K_choices: tuple[int, ...] = (3, 4, 5)
     d_choices: tuple[int, ...] = (1, 2, 3)
     max_antennas: int = 15
+
+    def __post_init__(self):
+        for name in ("K_choices", "d_choices"):
+            values = getattr(self, name)
+            if not len(values) or any(_index(v, name, ValueError) < 1 for v in values):
+                raise ValueError(f"{name} must be one or more positive integers, got {values!r}")
+        if _index(self.max_antennas, "max_antennas", ValueError) < max(self.d_choices):
+            raise ValueError(f"max_antennas must be at least max(d_choices) = "
+                             f"{max(self.d_choices)}, got {self.max_antennas}")
 
 
 def sample_random_config(bounds: SamplingBounds, seed) -> tuple[NetworkConfig, tuple]:
@@ -62,10 +72,12 @@ def sample_random_config(bounds: SamplingBounds, seed) -> tuple[NetworkConfig, t
 
     ``K`` is uniform over ``K_choices``; each stream count is uniform over
     ``d_choices``; each antenna count is uniform over ``d_k .. max_antennas``
-    so the per-node constraints hold by construction.  Returns the
-    configuration together with the all-cross-pairs alignment set.
+    so the per-node constraints hold by construction.  ``seed`` is an unsigned
+    64-bit integer or a sequence of them.  Returns the configuration together
+    with the all-cross-pairs alignment set.
     """
-    rng = np.random.default_rng(seed)
+    words = [seed] if np.ndim(seed) == 0 else seed
+    rng = np.random.default_rng(np.random.SeedSequence([_check_seed(w) for w in words]))
     K = int(rng.choice(bounds.K_choices))
     d = tuple(int(rng.choice(bounds.d_choices)) for _ in range(K))
     M = tuple(int(rng.integers(dk, bounds.max_antennas + 1)) for dk in d)
@@ -120,6 +132,8 @@ def run_trial(trial_id: int, seed: int, algorithm: str,
     only if feasible - runs the chosen algorithm until it either suppresses
     interference past the pass threshold or converges above it.
     """
+    if _index(budget, "budget", ValueError) < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if algorithm not in _ALGORITHMS:
         raise ValueError(f"algorithm must be one of {sorted(_ALGORITHMS)}, got {algorithm!r}")
     cfg_seed, ch_seed, algo_seed = _split_trial_seed(seed)
@@ -147,7 +161,7 @@ def run_test1(n_trials: int, algorithm: str = "gia", seed: int = 0,
         The summary reports the feasible fraction and the pass rate among
         feasible trials.
     """
-    if n_trials < 1:
+    if _index(n_trials, "n_trials", ValueError) < 1:
         raise ValueError("n_trials must be at least 1")
     records = [
         run_trial(i, trial_seed(seed, i), algorithm, bounds, budget)

@@ -5,9 +5,7 @@ import pytest
 
 from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM, random_point
 from gia.aligner import (
-    AlreadyAlignedError,
     leakage,
-    normalized_interference_db,
     receiver_update,
     residual_vector,
     run_classical_baseline,
@@ -15,6 +13,7 @@ from gia.aligner import (
     transmitter_update,
     verify_solution,
 )
+from gia.linalg import frobenius_norm_sq
 from gia.network import NetworkConfig, Problem, TransceiverSet, alignment_all, generate_channel
 
 
@@ -342,14 +341,19 @@ class TestRunGia:
 
     @pytest.mark.parametrize("run", [run_gia, run_classical_baseline])
     def test_negative_budget_rejected(self, run):
-        # also a NaN or negative leak_tol and a NaN target_db, which would
-        # otherwise never stop the run and read as unset
+        # also a float budget, a NaN target_db and, for ALS, a NaN or negative
+        # leak_tol, which would otherwise never stop the run or read as unset
         cfg = CONFIG_SYM
         channel = generate_channel(cfg, 0)
-        for stop in ({"max_iters": -1}, {"leak_tol": math.nan}, {"leak_tol": -1.0},
-                     {"target_db": math.nan}):
+        stops = [{"max_iters": -1}, {"max_iters": 2.5}, {"target_db": math.nan}]
+        if run is run_gia:
+            stops += [{"leak_tol": math.nan}, {"leak_tol": -1.0}]
+        for stop in stops:
             with pytest.raises(ValueError, match=next(iter(stop))):
                 run(cfg, alignment_all(cfg), channel, **stop)
+            # the stop rules are checked before the problem is built
+            with pytest.raises(ValueError, match=next(iter(stop))):
+                run(cfg, alignment_all(cfg), {}, **stop)
 
 
 class TestClassicalBaseline:
@@ -357,7 +361,8 @@ class TestClassicalBaseline:
         cfg = CONFIG_SYM
         channel = zero_cross_channel(cfg)
         _, trace = run_classical_baseline(cfg, alignment_all(cfg), channel, seed=0)
-        assert trace.points[0][1] == 0.0
+        assert trace.points == ((0, 0.0, 0.0),)
+        assert trace.converged and trace.stop_reason == "tolerance"
 
     def test_feasible_reaches_minus_60(self):
         cfg = CONFIG_SYM
@@ -444,19 +449,57 @@ class TestVerifySolution:
         assert any("jammer" in f for f in report.failures)
 
 
+def als_power_db(cfg, ts):
+    """ALS's power rule, in the round loop's operation order: the dB product of
+    each side's total power, the identity blocks contributing ``d``."""
+    return 10.0 * math.log10(
+        (sum(cfg.d[: cfg.K]) + sum(frobenius_norm_sq(u[d:]) for u, d in zip(ts.U, cfg.d)))
+        * (sum(cfg.d) + sum(frobenius_norm_sq(v[d:]) for v, d in zip(ts.V, cfg.d))))
+
+
 class TestNormalizedInterference:
+    """The one ``I_dB`` rule of the round loop, checked from the runs' own points."""
+
     def test_equal_is_zero(self):
-        assert normalized_interference_db(2.5, 2.5) == 0.0
+        cfg = CONFIG_INFEASIBLE
+        for run in (run_gia, run_classical_baseline):
+            _, trace = run(cfg, alignment_all(cfg), generate_channel(cfg, 3), max_iters=0, seed=3)
+            assert trace.points[0][2] == 0.0 and trace.points[0][1] > 0.0
 
-    def test_minus_60(self):
-        assert normalized_interference_db(1.0, 1e-6) == pytest.approx(-60.0)
+    def test_als_rows_follow_the_rule(self):
+        # I_dB = 10 log10(leak / leak0) + (norm0 - norm_t), with the power of
+        # the point each run of max_iters = t returns
+        cfg = CONFIG_INFEASIBLE
+        pairs = alignment_all(cfg)
+        channel = generate_channel(cfg, 4)
+        problem = Problem(cfg, pairs, channel)
+        runs = [run_gia(cfg, pairs, channel, max_iters=t, seed=4) for t in range(6)]
+        leak0, norm0 = runs[0][1].points[0][1], als_power_db(cfg, runs[0][0])
+        for t, (ts, trace) in enumerate(runs):
+            assert trace.points == runs[-1][1].points[: t + 1]
+            _, leak, idb = trace.points[-1]
+            assert leak == leakage(problem, ts)
+            if t:
+                assert idb == 10.0 * math.log10(leak / leak0) + (norm0 - als_power_db(cfg, ts))
+        # the power correction is not zero: ALS's iterates change their power
+        assert runs[-1][1].final_i_db != 10.0 * math.log10(runs[-1][1].leakages[-1] / leak0)
 
-    def test_plus_10(self):
-        assert normalized_interference_db(1.0, 10.0) == pytest.approx(10.0)
+    def test_classical_rows_are_the_leakage_ratio(self):
+        cfg = CONFIG_INFEASIBLE
+        _, trace = run_classical_baseline(cfg, alignment_all(cfg), generate_channel(cfg, 4),
+                                          max_iters=40, seed=4)
+        leak0 = trace.points[0][1]
+        assert len(trace.points) == 41
+        for _, leak, idb in trace.points[1:]:
+            assert idb == 10.0 * math.log10(leak / leak0)
 
     def test_zero_leakage_is_minus_inf(self):
-        assert normalized_interference_db(1.0, 0.0) == -math.inf
-
-    def test_zero_initial_raises(self):
-        with pytest.raises(AlreadyAlignedError):
-            normalized_interference_db(0.0, 1.0)
+        # one aligned pair (receiver 1, jammer 2) with H_12 = [1; 1] and
+        # M_2 = d_2: the receive sweep solves it exactly, U_1 = [1; -1]
+        cfg = NetworkConfig(K=1, J=1, M=(1, 1), N=(2,), d=(1, 1))
+        channel = generate_channel(cfg, 0)
+        channel[(1, 2)] = np.ones((2, 1), dtype=np.complex128)
+        ts, trace = run_gia(cfg, alignment_all(cfg), channel, max_iters=10, seed=0)
+        assert trace.points == ((0, 1.0, 0.0), (1, 0.0, -math.inf))
+        assert trace.stop_reason == "tolerance" and trace.converged
+        np.testing.assert_array_equal(ts.U[0], [[1.0], [-1.0]])

@@ -165,6 +165,32 @@ class TestSweepCommand:
         assert all(row.split(",")[5] == n_constraints for row in rows)
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("argv", [
+        ["test1", "-n", "1000", "--out", "{missing}/trials.csv"],
+        ["design", "--config", "{cfg}", "--out", "{missing}/t.csv"],
+        ["design", "--config", "{cfg}", "--out", "{dir}/t.csv", "--solution", "{missing}/s.txt"],
+        ["sweep", "--config", "{cfg}", "--out", "{missing}/sweep.csv"],
+        ["fig6", "--id", "3", "--out-dir", "{file}/fig"],
+    ], ids=["test1", "design-out", "design-solution", "sweep", "fig6"])
+    def test_bad_path_fails_before_the_work(self, argv, sym_config_file, tmp_path, monkeypatch,
+                                            capsys):
+        import gia.cli as cli
+
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("the work ran")
+
+        for name in ("run_test1", "run_fig6", "run_gia", "sweep_feasibility"):
+            monkeypatch.setattr(cli, name, no_work)
+        (tmp_path / "file").write_text("")
+        argv = [arg.format(cfg=sym_config_file, dir=tmp_path, missing=tmp_path / "missing",
+                           file=tmp_path / "file") for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

@@ -22,6 +22,31 @@ from gia.network import NetworkConfig
 
 SMALL_BOUNDS = SamplingBounds(K_choices=(2, 3), d_choices=(1, 2), max_antennas=6)
 
+#: ``(M, N, d)`` of the benchmark's ``feasibility`` family, drawn with seed
+#: words ``[0, K, i]`` from ``SamplingBounds(K_choices=(K,))`` for i = 0..7.
+FAMILY = {
+    3: [((14, 12, 7), (10, 7, 15), (2, 3, 3)), ((13, 9, 4), (9, 10, 9), (3, 1, 2)),
+        ((4, 10, 14), (6, 8, 14), (2, 3, 1)), ((6, 15, 4), (11, 13, 5), (3, 1, 3)),
+        ((11, 7, 5), (4, 3, 12), (3, 2, 3)), ((4, 15, 7), (5, 3, 8), (1, 2, 2)),
+        ((6, 1, 10), (11, 10, 3), (1, 1, 2)), ((12, 11, 12), (8, 4, 10), (3, 3, 1))],
+    4: [((13, 8, 10, 7), (2, 13, 4, 4), (2, 3, 2, 1)),
+        ((6, 14, 13, 10), (11, 14, 6, 9), (2, 3, 2, 2)),
+        ((1, 10, 3, 12), (11, 13, 12, 13), (1, 2, 3, 3)),
+        ((11, 12, 2, 13), (5, 12, 9, 4), (3, 2, 2, 3)),
+        ((2, 12, 7, 5), (10, 11, 11, 15), (1, 3, 2, 3)),
+        ((12, 1, 12, 13), (14, 13, 8, 9), (1, 1, 3, 2)),
+        ((10, 14, 15, 12), (3, 8, 7, 8), (2, 2, 1, 1)),
+        ((12, 14, 14, 10), (14, 13, 5, 12), (2, 3, 2, 1))],
+    5: [((8, 6, 7, 7, 3), (12, 10, 6, 3, 7), (3, 2, 3, 2, 2)),
+        ((5, 13, 15, 14, 5), (15, 4, 11, 4, 9), (2, 2, 3, 3, 3)),
+        ((1, 15, 11, 7, 15), (11, 7, 7, 5, 8), (1, 1, 2, 2, 2)),
+        ((6, 7, 9, 12, 13), (10, 9, 8, 3, 3), (1, 1, 1, 2, 3)),
+        ((9, 13, 13, 9, 4), (7, 12, 14, 9, 2), (2, 3, 3, 1, 1)),
+        ((13, 4, 6, 13, 9), (15, 2, 9, 11, 11), (1, 1, 1, 3, 3)),
+        ((5, 7, 1, 4, 13), (12, 6, 7, 4, 11), (3, 1, 1, 2, 1)),
+        ((10, 12, 12, 7, 13), (12, 12, 9, 11, 10), (1, 2, 2, 2, 2))],
+}
+
 
 class TestBenchmarkConfigs:
     def test_reference_tuples(self):
@@ -51,6 +76,38 @@ class TestSampleRandomConfig:
             assert all(dk <= n <= 15 for dk, n in zip(cfg.d, cfg.N))
             assert len(pairs) == cfg.K * (cfg.K - 1)
 
+    def test_family_draws_pinned(self):
+        # the seed-word lists of the benchmark's feasibility family
+        for K, rows in FAMILY.items():
+            for i, (M, N, d) in enumerate(rows):
+                cfg, _ = sample_random_config(SamplingBounds(K_choices=(K,)), [0, K, i])
+                assert cfg == NetworkConfig(K=K, J=0, M=M, N=N, d=d)
+
+    def test_seed_checked(self):
+        # None would draw a different network on every call; 2**64 is out
+        # of the package's seed range
+        for seed in (None, 0.5, -1, 2**64, [0, 3, -7], [0, 2.5]):
+            with pytest.raises(ValueError, match="seed must be"):
+                sample_random_config(SamplingBounds(), seed)
+        assert sample_random_config(SamplingBounds(), np.uint64(2**64 - 1)) == \
+            sample_random_config(SamplingBounds(), [2**64 - 1])
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("max_antennas", {"max_antennas": 2}),
+        ("max_antennas", {"max_antennas": 15.0}),
+        ("K_choices", {"K_choices": ()}),
+        ("K_choices", {"K_choices": (3, 0)}),
+        ("d_choices", {"d_choices": ()}),
+        ("d_choices", {"d_choices": (1, 2.5)}),
+        ("d_choices", {"d_choices": (-1,), "max_antennas": 4}),
+    ], ids=["antennas-below-d", "antennas-float", "K-empty", "K-zero", "d-empty", "d-float",
+            "d-negative"])
+    def test_bounds_checked(self, field, kwargs):
+        # SamplingBounds(max_antennas=2) used to be accepted and then fail
+        # inside numpy on 19 of seeds 0-19
+        with pytest.raises(ValueError, match=field):
+            SamplingBounds(**kwargs)
+
     def test_K_distribution_uniform(self):
         counts = {3: 0, 4: 0, 5: 0}
         n = 10**4
@@ -76,6 +133,20 @@ class TestTrials:
         with pytest.raises(ValueError, match="seed must be an integer"):
             run_test1(2, seed=0.5, budget=10, bounds=SMALL_BOUNDS)
         assert trial_seed(np.int64(7), np.int64(3)) == trial_seed(7, 3)
+
+    def test_counts_checked_before_work(self, monkeypatch):
+        import gia.harness as harness
+
+        def no_work(*_args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(harness, "sample_random_config", no_work)
+        for call, name in ((lambda: run_test1(2.5, budget=10), "n_trials"),
+                           (lambda: run_test1(2, budget=2.5), "budget"),
+                           (lambda: run_test1(2, budget=-1), "budget"),
+                           (lambda: run_trial(0, 1, "gia", budget=1.5), "budget")):
+            with pytest.raises(ValueError, match=name):
+                call()
 
     def test_records_independent_of_batch(self):
         records, _ = run_test1(5, algorithm="gia", seed=11, budget=400, bounds=SMALL_BOUNDS)
