@@ -36,13 +36,6 @@ from .harness import (
     sample_random_config,
     sweep_feasibility,
 )
-from .linalg import (
-    DEFAULT_REL_TOL,
-    RankResult,
-    frobenius_norm_sq,
-    numerical_rank,
-    pseudo_inverse,
-)
 from .network import (
     Channel,
     ConfigError,

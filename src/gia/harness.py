@@ -43,8 +43,9 @@ BENCHMARK_CONFIGS: dict[int, NetworkConfig] = {
 
 
 def benchmark_config(config_id: int) -> NetworkConfig:
+    config_id = _index(config_id, "config_id", ValueError)
     if config_id not in BENCHMARK_CONFIGS:
-        raise ValueError(f"config_id must be one of {sorted(BENCHMARK_CONFIGS)}, got {config_id}")
+        raise ValueError(f"config_id must be one of {sorted(BENCHMARK_CONFIGS)}, got {config_id!r}")
     return BENCHMARK_CONFIGS[config_id]
 
 

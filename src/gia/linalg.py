@@ -1,4 +1,10 @@
-"""Dense complex linear-algebra kernel shared by the whole package.
+"""Dense complex linear-algebra kernel, internal to the package.
+
+The kernel takes finite 2-D arrays that the package built and checks
+nothing.  Finiteness is checked once, where input enters the package: by
+:func:`~gia.network.check_channel` (through :class:`~gia.network.Problem` and
+:func:`~gia.feasibility.feasibility_check`) and by
+:func:`~gia.network.check_transceivers`.
 
 Numerical rank and the Moore-Penrose pseudo-inverse use one fixed,
 scale-invariant singular-value cutoff so that feasibility verdicts are
@@ -20,7 +26,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_REL_TOL",
     "RankResult",
-    "as_complex_matrix",
     "numerical_rank",
     "pseudo_inverse",
     "frobenius_norm_sq",
@@ -28,22 +33,6 @@ __all__ = [
 
 #: Relative tolerance of the shared singular-value cutoff.
 DEFAULT_REL_TOL = 1e-10
-
-
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a finite 2-D complex128 array (zero-sized axes allowed).
-
-    Raises
-    ------
-    ValueError
-        If ``m`` is not 2-D or contains non-finite entries.
-    """
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.size and not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    return a
 
 
 @dataclass(frozen=True)
@@ -71,19 +60,9 @@ def _cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
 
 
 def numerical_rank(m) -> RankResult:
-    """Numerical rank of ``m`` via SVD with the shared scale-invariant cutoff.
-
-    Parameters
-    ----------
-    m : array_like
-        Matrix with finite entries.  The absolute cutoff is
-        ``DEFAULT_REL_TOL * sigma_max * max(rows, cols)``.
-
-    Returns
-    -------
-    RankResult
-    """
-    a = as_complex_matrix(m)
+    """Numerical rank of the finite 2-D matrix ``m`` via SVD with the shared
+    scale-invariant cutoff ``DEFAULT_REL_TOL * sigma_max * max(rows, cols)``."""
+    a = np.asarray(m, dtype=np.complex128)
     if a.size == 0:
         return RankResult(0, np.zeros(0), 0.0)
     s = np.linalg.svd(a, compute_uv=False)
@@ -92,7 +71,7 @@ def numerical_rank(m) -> RankResult:
 
 
 def pseudo_inverse(m) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of ``m``.
+    """Moore-Penrose pseudo-inverse of the finite 2-D matrix ``m``.
 
     Singular values at or below the shared rank cutoff are inverted as zero,
     so the result is consistent with :func:`numerical_rank` on the same
@@ -104,7 +83,7 @@ def pseudo_inverse(m) -> np.ndarray:
         ``cols x rows`` complex matrix satisfying the four Moore-Penrose
         identities to within roundoff.
     """
-    a = as_complex_matrix(m)
+    a = np.asarray(m, dtype=np.complex128)
     rows, cols = a.shape
     if a.size == 0:
         return np.zeros((cols, rows), dtype=np.complex128)
@@ -118,5 +97,5 @@ def pseudo_inverse(m) -> np.ndarray:
 
 def frobenius_norm_sq(m) -> float:
     """Squared Frobenius norm: sum of squared entry magnitudes."""
-    a = as_complex_matrix(m)
+    a = np.asarray(m, dtype=np.complex128)
     return float(np.sum(a.real * a.real + a.imag * a.imag))

@@ -58,6 +58,16 @@ class TestBenchmarkConfigs:
         with pytest.raises(ValueError):
             benchmark_config(4)
 
+    def test_id_is_an_integer(self):
+        for bad in (1.0, 2.0):
+            with pytest.raises(ValueError, match=f"config_id must be an integer, got {bad!r}"):
+                benchmark_config(bad)
+        with pytest.raises(ValueError, match="config_id must be an integer, got '1'"):
+            benchmark_config("1")
+        with pytest.raises(ValueError, match="config_id must be an integer"):
+            run_fig6(2.0, seeds=(0,), rounds=1)
+        assert benchmark_config(np.int64(2)) is BENCHMARK_CONFIGS[2]
+
 
 class TestSampleRandomConfig:
     def test_deterministic(self):

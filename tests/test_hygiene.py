@@ -190,3 +190,41 @@ def test_layering_violation_detected():
 def test_imports_point_to_lower_layers():
     assert {p.stem for p in MODULES} == set().union(*LAYERS)
     assert layering_violations({p.stem: p.read_text(encoding="utf-8") for p in MODULES}) == []
+
+
+#: The functions that test finiteness: the checks where input enters the package.
+FINITENESS_CHECKS = {("network", "check_channel"), ("network", "check_transceivers")}
+
+
+def stray_finiteness_checks(sources: dict[str, str]) -> list[str]:
+    """Uses of numpy's ``isfinite`` outside the boundary checks ``FINITENESS_CHECKS``.
+
+    ``np.isfinite``, ``numpy.isfinite`` and ``from numpy import isfinite``
+    count; ``math.isfinite`` on a scalar parameter does not.  A use belongs
+    to the top-level function that contains it.
+    """
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            if (module, getattr(top, "name", None)) in FINITENESS_CHECKS:
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")) or (
+                        isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                        and any(a.name == "isfinite" for a in node.names)):
+                    found.append(f"{module} line {node.lineno}")
+    return found
+
+
+def test_stray_finiteness_check_detected():
+    sources = {"network": ("import numpy as np\ndef check_channel(h):\n    return np.isfinite(h)\n"
+                           "def other(h):\n    return np.isfinite(h)\n"),
+               "linalg": ("import math\nimport numpy\nfrom numpy import isfinite\n"
+                          "OK = math.isfinite(1.0)\nclass C:\n    def f(self, a):\n"
+                          "        return numpy.isfinite(a)\n")}
+    assert stray_finiteness_checks(sources) == ["network line 5", "linalg line 3", "linalg line 7"]
+
+
+def test_finiteness_checked_only_at_boundary():
+    assert stray_finiteness_checks({p.stem: p.read_text(encoding="utf-8") for p in MODULES}) == []

@@ -50,12 +50,6 @@ class TestNumericalRank:
         assert res.rank == 0
         assert res.singular_values.size == 0
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            numerical_rank([[np.inf, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            numerical_rank([[np.nan, 0], [0, 1]])
-
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_conjugate_transpose_invariant(self, m, n, seed):
@@ -105,10 +99,6 @@ class TestPseudoInverse:
         a = crandn(np.random.default_rng(seed), n, n)
         back = pseudo_inverse(pseudo_inverse(a))
         assert np.linalg.norm(back - a) <= 1e-8 * np.linalg.norm(a)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_inverse([[np.inf]])
 
 
 class TestFrobeniusNormSq:
