@@ -193,7 +193,9 @@ def _alternate(cfg: NetworkConfig, alignment, channel: Channel, *, seed, start, 
     ``solve``.  It records the raw leakage, which the stall test and
     ``leak_tol`` act on, and ``I_dB = 10 log10(leak / leak0) + (power_db(ts0)
     - power_db(ts))``, ``-inf`` at zero leakage.  The run stops at tolerance,
-    stall or budget; its stop rules are checked before any work.
+    stall or budget; its stop rules are checked before any work.  A round-0
+    leakage that is not finite, the overflow of a finite but huge channel,
+    raises ``ValueError`` before the first round.
     """
     max_iters = _index(max_iters, "max_iters", ValueError)
     if max_iters < 0:
@@ -207,6 +209,8 @@ def _alternate(cfg: NetworkConfig, alignment, channel: Channel, *, seed, start, 
     ts = TransceiverSet(TransceiverSet.identity(cfg).U,
                         tuple(start(rng, m, d) for m, d in zip(cfg.M, cfg.d)))
     leak0 = sum(frobenius_norm_sq(R) for R in _full_residuals(problem, ts))
+    if not math.isfinite(leak0):
+        raise ValueError(f"the round-0 leakage overflows to {leak0}; scale the channel down")
     norm0 = power_db(ts)
     points = [(0, leak0, 0.0)]
     if leak0 == 0.0:

@@ -18,6 +18,17 @@ The coefficient matrix is the Jacobian of the residuals at
 :meth:`TransceiverSet.identity <gia.network.TransceiverSet.identity>`, where
 every free block is zero, so one assembly serves both.
 
+The rank test never forms that matrix.  Its decoder columns are block
+diagonal per receiver, ``I_{d_k} (x) A_k^T`` with
+``A_k = [H_kj[d_k:, :d_j]]_j`` up to row order, so each receiver's decoder
+block is eliminated in closed form: it contributes ``d_k rank(A_k)`` to the
+rank, and projecting its rows off the range of ``A_k^T`` leaves a reduced
+precoder matrix ``R`` with far fewer rows.  The rank of the
+coefficient matrix is the decoder count plus ``rank R``, and it has full row
+rank iff ``R`` does; only ``R`` goes to an SVD.
+:func:`build_coefficient_matrix` stays the reference the elimination is
+tested against.
+
 Besides the generic rank test this module implements the cheap necessary
 counting condition (properness) and two closed-form special cases (symmetric
 and stream-divisible configurations) that bypass the rank computation when
@@ -36,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import numerical_rank
+from .linalg import column_complement, numerical_rank
 from .network import (
     Channel,
     NetworkConfig,
@@ -91,8 +102,12 @@ class FeasibilityReport:
 
     ``method`` names the deciding path: ``hall_rank`` (generic rank test),
     ``proper_fail`` (counting condition violated), ``symmetric_formula`` or
-    ``divisible_formula`` (closed-form special case).  ``rank`` is -1 and
-    ``tolerance`` 0.0 when the rank test was not run.
+    ``divisible_formula`` (closed-form special case).  After the rank test,
+    ``rank`` is the rank of the coefficient matrix, the decoder-block count
+    ``sum_k d_k rank(A_k)`` plus the rank of the reduced precoder matrix, and
+    ``tolerance`` is the singular-value cutoff applied to the reduced matrix,
+    0.0 when it has no entries.  ``rank`` is -1 and ``tolerance`` 0.0 when
+    the rank test was not run.
     """
 
     feasible: bool
@@ -160,6 +175,41 @@ def build_coefficient_matrix(cfg: NetworkConfig, alignment, channel: Channel) ->
     ``H_kj[p, d_j:]``.
     """
     return _jacobian(Problem(cfg, alignment, channel), TransceiverSet.identity(cfg))
+
+
+def _eliminate_decoders(problem: Problem) -> tuple[int, np.ndarray]:
+    """The coefficient matrix's decoder columns, eliminated in closed form.
+
+    Up to row order, receiver ``k``'s rows of the decoder columns are
+    ``I_{d_k} (x) A_k^T``, with ``A_k = [H_kj[d_k:, :d_j]]_j`` over its aligned
+    ``j``, and no other rows touch its columns.  With ``r_k = rank A_k`` and
+    ``W_k`` an orthonormal basis of the complement of the range of
+    ``A_k^T``, the rows ``W_k^H [kron(I_{d_j}, H_kj[p, d_j:])]_j`` over the
+    streams ``p`` of each receiver form the reduced precoder matrix ``R``.
+    Returns ``(sum_k d_k r_k, R)``: the coefficient matrix has rank
+    ``sum_k d_k r_k + rank R``, so it has full row rank iff ``R`` does.
+    """
+    cfg = problem.cfg
+    _, col_index, _, n_vars = _layout(cfg, problem.pairs)
+    v0 = col_index[("V", 1)]
+    decoder_rank = 0
+    blocks = [np.zeros((0, n_vars - v0), dtype=np.complex128)]
+    for k, links in problem.by_rx.items():
+        dk = cfg.d[k - 1]
+        r, W = column_complement(np.hstack([H[dk:, : cfg.d[j - 1]] for j, H in links]).T)
+        decoder_rank += dk * r
+        Wh = W.conj().T
+        block = np.zeros((dk * Wh.shape[0], n_vars - v0), dtype=np.complex128)
+        q0 = 0
+        for j, H in links:
+            dj = cfg.d[j - 1]
+            c, width = col_index[("V", j)] - v0, dj * (H.shape[1] - dj)
+            # row (p, w), column (q, m) holds Wh[w, q0 + q] * H[p, dj + m]
+            block[:, c : c + width] = np.einsum(
+                "wq,pm->pwqm", Wh[:, q0 : q0 + dj], H[:dk, dj:]).reshape(len(block), width)
+            q0 += dj
+        blocks.append(block)
+    return decoder_rank, np.concatenate(blocks)
 
 
 def build_jacobian(cfg: NetworkConfig, alignment, channel: Channel,
@@ -326,7 +376,8 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     Properness is checked first: it is necessary everywhere, and on the
     symmetric and divisible classes it is also sufficient (their closed
     forms restate it), so there it decides and the report names the class.
-    The generic rank test of the coefficient matrix decides the rest.
+    The generic rank test of the coefficient matrix, with each receiver's
+    decoder block eliminated in closed form, decides the rest.
     Because the verdict depends only on the configuration and alignment set
     (not the channel draw), a single random channel is generated from
     ``seed`` when none is supplied.  The seed and a supplied channel are
@@ -337,6 +388,7 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     if channel is not None:
         check_channel(cfg, channel)
 
+    _, _, n_constraints, n_variables = _layout(cfg, pairs)
     proper, _ = check_proper(cfg, pairs)
     if not proper:
         method = "proper_fail"
@@ -347,10 +399,10 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     else:
         if channel is None:
             channel = generate_channel(cfg, seed)
-        hall = build_coefficient_matrix(cfg, pairs, channel)
-        rr = numerical_rank(hall.matrix)
-        return FeasibilityReport(rr.rank == hall.n_constraints, hall.n_constraints,
-                                 hall.n_variables, rr.rank, "hall_rank", rr.tolerance_used)
-    _, _, n_constraints, n_variables = _layout(cfg, pairs)
+        decoder_rank, reduced = _eliminate_decoders(Problem(cfg, pairs, channel))
+        rr = numerical_rank(reduced)
+        rank = decoder_rank + rr.rank
+        return FeasibilityReport(rank == n_constraints, n_constraints, n_variables, rank,
+                                 "hall_rank", rr.tolerance_used)
     return FeasibilityReport(proper, n_constraints, n_variables, -1, method, 0.0)
 

@@ -6,11 +6,12 @@ nothing.  Finiteness is checked once, where input enters the package: by
 :func:`~gia.feasibility.feasibility_check`) and by
 :func:`~gia.network.check_transceivers`.
 
-Numerical rank and the Moore-Penrose pseudo-inverse use one fixed,
-scale-invariant singular-value cutoff so that feasibility verdicts are
-reproducible across the package: a singular value counts toward the rank iff
-it exceeds ``DEFAULT_REL_TOL * sigma_max * max(rows, cols)``.  No caller can
-override it; every rank decision goes through here.
+Numerical rank, the complement of a column space and the Moore-Penrose
+pseudo-inverse use one fixed, scale-invariant singular-value cutoff so that
+feasibility verdicts are reproducible across the package: a singular value
+counts toward the rank iff it exceeds
+``DEFAULT_REL_TOL * sigma_max * max(rows, cols)``.  No caller can override
+it; every rank decision goes through here.
 
 Zero-dimensional matrices (0 rows or 0 columns) are first class: they occur
 whenever a node has no free transceiver entries (``d_k == N_k`` or
@@ -27,6 +28,7 @@ __all__ = [
     "DEFAULT_REL_TOL",
     "RankResult",
     "numerical_rank",
+    "column_complement",
     "pseudo_inverse",
     "frobenius_norm_sq",
 ]
@@ -68,6 +70,23 @@ def numerical_rank(m) -> RankResult:
     s = np.linalg.svd(a, compute_uv=False)
     tol = _cutoff(s, a.shape)
     return RankResult(int(np.count_nonzero(s > tol)), s, tol)
+
+
+def column_complement(m) -> tuple[int, np.ndarray]:
+    """Numerical rank of the finite 2-D matrix ``m`` and an orthonormal basis
+    of the orthogonal complement of its column space.
+
+    The rank is decided by the shared cutoff, as in :func:`numerical_rank`;
+    the basis is the ``rows x (rows - rank)`` block of left singular vectors
+    past it, so ``basis^H m`` vanishes to within the cutoff.  A matrix with
+    no entries has rank 0 and the identity as its basis.
+    """
+    a = np.asarray(m, dtype=np.complex128)
+    if a.size == 0:
+        return 0, np.eye(a.shape[0], dtype=np.complex128)
+    u, s, _ = np.linalg.svd(a)
+    rank = int(np.count_nonzero(s > _cutoff(s, a.shape)))
+    return rank, u[:, rank:]
 
 
 def pseudo_inverse(m) -> np.ndarray:

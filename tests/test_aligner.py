@@ -355,6 +355,17 @@ class TestRunGia:
             with pytest.raises(ValueError, match=next(iter(stop))):
                 run(cfg, alignment_all(cfg), {}, **stop)
 
+    @pytest.mark.parametrize("run", [run_gia, run_classical_baseline])
+    def test_overflowing_leakage_rejected(self, run):
+        # a finite channel passes the boundary check, but its round-0 leakage
+        # squares past the float range; the run stops before its first round
+        # instead of recording inf and nan rows
+        cfg = CONFIG_SYM
+        channel = {link: 1e160 * H for link, H in generate_channel(cfg, 0).items()}
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                ValueError, match="round-0 leakage overflows to inf"):
+            run(cfg, alignment_all(cfg), channel, max_iters=2)
+
 
 class TestClassicalBaseline:
     def test_zero_cross_channel(self):

@@ -12,6 +12,7 @@ from conftest import (
     random_point,
 )
 from gia.feasibility import (
+    _eliminate_decoders,
     build_coefficient_matrix,
     build_jacobian,
     check_divisible_formula,
@@ -19,7 +20,7 @@ from gia.feasibility import (
     check_symmetric_formula,
     feasibility_check,
 )
-from gia.linalg import numerical_rank
+from gia.linalg import column_complement, numerical_rank
 from gia.network import (
     ConfigError,
     NetworkConfig,
@@ -27,6 +28,7 @@ from gia.network import (
     TransceiverSet,
     alignment_all,
     generate_channel,
+    scale_config,
 )
 
 
@@ -488,8 +490,6 @@ class TestVerdictInvariance:
             assert verdicts == {expected}
 
     def test_scale_invariance(self):
-        from gia.network import scale_config
-
         for cfg in (CONFIG_SYM, CONFIG_INFEASIBLE):
             pairs = alignment_all(cfg)
             base = feasibility_check(cfg, pairs).feasible
@@ -500,3 +500,143 @@ class TestVerdictInvariance:
         channel = generate_channel(CONFIG_INFEASIBLE, 1)
         hall = build_coefficient_matrix(CONFIG_INFEASIBLE, alignment_all(CONFIG_INFEASIBLE), channel)
         assert gauss_rank(hall.matrix) == numerical_rank(hall.matrix).rank == 52
+
+
+def full_rank(cfg, pairs, channel):
+    """The oracle: SVD rank of the whole coefficient matrix."""
+    return numerical_rank(build_coefficient_matrix(cfg, pairs, channel).matrix).rank
+
+
+def eliminated_rank(cfg, pairs, channel):
+    decoder_rank, reduced = _eliminate_decoders(Problem(cfg, pairs, channel))
+    return decoder_rank + numerical_rank(reduced).rank
+
+
+def random_elimination_instance(rng):
+    """Random network with jammers, mixed stream counts, receivers with
+    ``N_k = d_k``, partial alignment sets and some x2 scalings."""
+    K = int(rng.integers(2, 6))
+    J = int(rng.integers(0, 3))
+    d = tuple(int(rng.integers(1, 4)) for _ in range(K + J))
+    M = tuple(int(rng.integers(dk, dk + 7)) for dk in d)
+    N = tuple(dk if rng.random() < 0.15 else int(rng.integers(dk, dk + 7)) for dk in d[:K])
+    cfg = NetworkConfig(K=K, J=J, M=M, N=N, d=d)
+    every = alignment_all(cfg)
+    if rng.random() < 0.5:
+        pairs = every
+    else:
+        size = int(rng.integers(0, len(every) + 1))
+        pairs = tuple(every[i] for i in sorted(rng.choice(len(every), size=size, replace=False)))
+    scaled = rng.random() < 0.2
+    if scaled:
+        cfg = scale_config(cfg, 2)
+        if pairs == every:
+            pairs = alignment_all(cfg)
+    return cfg, pairs, scaled
+
+
+class TestDecoderElimination:
+    """The rank test eliminates each receiver's decoder block in closed form;
+    the whole coefficient matrix is the oracle."""
+
+    def test_matches_full_matrix_on_random_instances(self):
+        rng = np.random.default_rng(2024)
+        seen = {"jammers": 0, "partial": 0, "mixed d": 0, "N_k = d_k": 0, "scaled": 0,
+                "hall_rank": 0, "feasible": 0, "infeasible": 0}
+        for _ in range(300):
+            cfg, pairs, scaled = random_elimination_instance(rng)
+            channel = generate_channel(cfg, int(rng.integers(2**32)))
+            hall = build_coefficient_matrix(cfg, pairs, channel)
+            n_constraints, rank = hall.n_constraints, numerical_rank(hall.matrix).rank
+            assert eliminated_rank(cfg, pairs, channel) == rank, (cfg, pairs)
+            report = feasibility_check(cfg, pairs, channel)
+            if report.method == "hall_rank":
+                assert (report.feasible, report.rank) == (rank == n_constraints, rank)
+                seen["hall_rank"] += 1
+            seen["feasible" if rank == n_constraints else "infeasible"] += 1
+            seen["jammers"] += cfg.J > 0
+            seen["partial"] += pairs != alignment_all(cfg)
+            seen["mixed d"] += len(set(cfg.d)) > 1
+            seen["N_k = d_k"] += any(cfg.N[k - 1] == cfg.d[k - 1] for k, _ in pairs)
+            seen["scaled"] += scaled
+        assert min(seen.values()) >= 20, seen
+
+    def test_reduced_matrix_is_the_projected_precoder_columns(self):
+        # Rows W_k^H applied to receiver k's rows of the coefficient matrix
+        # vanish on the decoder columns and equal R on the precoder columns.
+        # The rank alone cannot show this: W_k depends only on the links'
+        # bottom-left blocks and the precoder columns only on their top-right
+        # blocks, so any basis of the right size gives the same generic rank.
+        cfg = NetworkConfig(K=3, J=1, M=(4, 5, 3, 4), N=(4, 3, 5), d=(1, 2, 1, 2))
+        pairs = alignment_all(cfg)
+        channel = generate_channel(cfg, 4)
+        hall = build_coefficient_matrix(cfg, pairs, channel)
+        problem = Problem(cfg, pairs, channel)
+        rows = []
+        for k, links in problem.by_rx.items():
+            dk = cfg.d[k - 1]
+            _, W = column_complement(np.hstack([H[dk:, : cfg.d[j - 1]] for j, H in links]).T)
+            for p in range(dk):
+                for w in W.conj().T:
+                    row = np.zeros(hall.n_constraints, dtype=np.complex128)
+                    q0 = 0
+                    for j, _ in links:
+                        start, dj = hall.row_index[(k, j)] + p * cfg.d[j - 1], cfg.d[j - 1]
+                        row[start : start + dj] = w[q0 : q0 + dj]
+                        q0 += dj
+                    rows.append(row)
+        projected = np.array(rows) @ hall.matrix
+        _, reduced = _eliminate_decoders(problem)
+        v0 = hall.col_index[("V", 1)]
+        assert reduced.shape == (len(rows), hall.n_variables - v0) and len(rows) > 0
+        np.testing.assert_allclose(projected[:, :v0], 0, atol=1e-12)
+        np.testing.assert_allclose(projected[:, v0:], reduced, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg, pairs, reduced_shape, method", [
+        # receiver 1 has N_1 = d_1: no free decoder block, so W_1 = I
+        (NetworkConfig(K=3, J=0, M=(3, 4, 3), N=(1, 3, 3), d=(1, 2, 1)), None, (6, 8),
+         "hall_rank"),
+        # every receiver's decoder block covers its rows: R has none
+        (NetworkConfig(K=2, J=0, M=(2, 3), N=(3, 3), d=(1, 2)), ((1, 2), (2, 1)), (0, 3),
+         "hall_rank"),
+        # receiver 2 has no aligned pair
+        (NetworkConfig(K=3, J=1, M=(4, 3, 4, 3), N=(3, 4, 4), d=(1, 2, 1, 1)),
+         ((1, 2), (1, 4), (3, 1), (3, 2), (3, 4)), (2, 10), "hall_rank"),
+        # no free precoder columns, and R has no rows either
+        (NetworkConfig(K=2, J=0, M=(1, 2), N=(4, 4), d=(1, 2)), ((1, 2), (2, 1)), (0, 0),
+         "hall_rank"),
+        # no free precoder columns, and rows left over
+        (NetworkConfig(K=3, J=0, M=(1, 1, 1), N=(2, 2, 2), d=(1, 1, 1)), None, (3, 0),
+         "proper_fail"),
+    ], ids=["no-free-decoder", "no-reduced-rows", "receiver-without-pair",
+            "no-free-precoder", "no-free-precoder-rows-left"])
+    def test_edge_cases(self, cfg, pairs, reduced_shape, method):
+        pairs = alignment_all(cfg) if pairs is None else pairs
+        channel = generate_channel(cfg, 0)
+        _, reduced = _eliminate_decoders(Problem(cfg, pairs, channel))
+        assert reduced.shape == reduced_shape
+        rank = full_rank(cfg, pairs, channel)
+        assert eliminated_rank(cfg, pairs, channel) == rank
+        report = feasibility_check(cfg, pairs, channel)
+        assert report.method == method
+        if method == "hall_rank":
+            assert report.rank == rank
+            assert report.feasible == (rank == report.n_constraints)
+            # the tolerance is the reduced matrix's cutoff, 0.0 when it is empty
+            assert (report.tolerance == 0.0) == (reduced.size == 0)
+
+    @pytest.mark.parametrize("cfg", [CONFIG_SYM, CONFIG_ASYM, CONFIG_INFEASIBLE],
+                             ids=["config1", "config2", "config3"])
+    @pytest.mark.parametrize("times", [1, 3])
+    def test_channel_magnitude_does_not_matter(self, cfg, times):
+        cfg = scale_config(cfg, times)
+        pairs = alignment_all(cfg)
+        channel = generate_channel(cfg, 0)
+        rank = full_rank(cfg, pairs, channel)
+        for factor in (1e-150, 1e150):
+            scaled = {link: factor * H for link, H in channel.items()}
+            assert eliminated_rank(cfg, pairs, scaled) == rank
+            report = feasibility_check(cfg, pairs, scaled)
+            assert report.feasible == (rank == report.n_constraints)
+            if report.method == "hall_rank":
+                assert report.rank == rank

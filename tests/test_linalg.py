@@ -7,6 +7,7 @@ from conftest import CONFIG_SYM, gauss_rank
 from gia.feasibility import build_coefficient_matrix
 from gia.linalg import (
     DEFAULT_REL_TOL,
+    column_complement,
     frobenius_norm_sq,
     numerical_rank,
     pseudo_inverse,
@@ -61,6 +62,33 @@ class TestNumericalRank:
     def test_random_gaussian_full_rank(self, m, n, seed):
         a = crandn(np.random.default_rng(seed), m, n)
         assert numerical_rank(a).rank == min(m, n)
+
+
+class TestColumnComplement:
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_rank_and_basis(self, m, n, r, seed):
+        # a product of Gaussian factors has rank min(m, n, r)
+        rng = np.random.default_rng(seed)
+        a = crandn(rng, m, r) @ crandn(rng, r, n)
+        rank, basis = column_complement(a)
+        assert rank == numerical_rank(a).rank == min(m, n, r)
+        assert basis.shape == (m, m - rank)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(m - rank), atol=1e-12)
+        assert np.linalg.norm(basis.conj().T @ a) <= 1e-12 * max(np.linalg.norm(a), 1.0)
+
+    def test_proportional_rows(self):
+        rank, basis = column_complement([[1, 2], [2, 4]])
+        assert rank == 1
+        np.testing.assert_allclose(np.abs(basis[:, 0]), np.array([2, 1]) / np.sqrt(5), atol=1e-12)
+
+    def test_zero_dimensional(self):
+        rank, basis = column_complement(np.zeros((0, 3)))
+        assert rank == 0 and basis.shape == (0, 0)
+        # no columns: the complement is everything
+        rank, basis = column_complement(np.zeros((4, 0)))
+        assert rank == 0
+        np.testing.assert_array_equal(basis, np.eye(4))
 
 
 class TestPseudoInverse:
