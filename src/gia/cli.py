@@ -98,10 +98,13 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _check_parent(*paths) -> None:
-    """Fail before any work if the directory of an output path (``None``: none) is missing."""
+    """Fail before any work if an output path (``None``: none) is a directory
+    or its directory is missing."""
     for path in filter(None, paths):
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"directory of {path} does not exist")
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"{path} is a directory")
 
 
 def _load(path, seed_flag):
@@ -118,7 +121,8 @@ def _cmd_feasibility(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    _check_parent(args.out, args.solution)
+    solution_path = args.solution or f"{args.out}.solution.txt"
+    _check_parent(args.out, solution_path)
     cfg, pairs, seed = _load(args.config, args.seed)
     channel = generate_channel(cfg, seed)
     report = feasibility_check(cfg, pairs, channel, seed=seed)
@@ -126,9 +130,9 @@ def _cmd_design(args) -> int:
         print(f"warning: configuration judged infeasible ({report.to_line()}); running anyway",
               file=sys.stderr)
     # every residual entry is at most sqrt(leakage), so stopping below tol**2
-    # leaves each one within the verification tolerance
+    # leaves each one within the verification tolerance (tol * tol: inf, not OverflowError)
     ts, trace = run_gia(cfg, pairs, channel, max_iters=args.budget,
-                        leak_tol=args.tol ** 2, seed=seed)
+                        leak_tol=args.tol * args.tol, seed=seed)
     trace.write_csv(args.out)
     verdict = verify_solution(cfg, pairs, channel, ts, tol=args.tol)
     print(f"final_I_dB = {trace.final_i_db!r}")
@@ -138,7 +142,6 @@ def _cmd_design(args) -> int:
     for failure in verdict.failures:
         print(f"verification_failure: {failure}")
     if verdict.passed:
-        solution_path = args.solution or f"{args.out}.solution.txt"
         dump_transceivers(solution_path, ts)
         print(f"solution = {solution_path}")
     return 0 if verdict.passed else 1
@@ -174,16 +177,9 @@ def _cmd_fig6(args) -> int:
 def _cmd_sweep(args) -> int:
     _check_parent(args.out)
     cfg, pairs, _ = load_config(args.config)
-    # scaling multiplies antenna and stream counts, so the pairs stay valid
-    rows = sweep_feasibility([cfg], alignment=pairs, channel_seeds=args.seeds,
-                             scales=args.scales)
-    lines = ["member,scale,seed,feasible,method,C,V,rank"]
-    lines.extend(
-        f"{r['member']},{r['scale']},{r['seed']},"
-        f"{'true' if r['feasible'] else 'false'},{r['method']},"
-        f"{r['n_constraints']},{r['n_variables']},{r['rank']}"
-        for r in rows
-    )
+    lines = ["scale,seed,feasible,method,C,V,rank,tolerance"]
+    lines.extend(f"{c},{seed},{report.to_line()}"
+                 for c, seed, report in sweep_feasibility(cfg, pairs, args.seeds, args.scales))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -15,7 +15,8 @@ import numpy as np
 
 from .aligner import PASS_THRESHOLD_DB, RunTrace, run_classical_baseline, run_gia
 from .feasibility import FeasibilityReport, feasibility_check
-from .network import NetworkConfig, _check_seed, _index, alignment_all, generate_channel, scale_config
+from .network import (NetworkConfig, _check_seed, _index, alignment_all, canonical_alignment,
+                      generate_channel, scale_config)
 
 __all__ = [
     "SamplingBounds",
@@ -214,32 +215,18 @@ def run_fig6(config_id: int, seeds=(0,), rounds: int = 5000,
     return out
 
 
-def sweep_feasibility(cfg_family, alignment=None, channel_seeds=(0,),
-                      scales=(1, 2)) -> list[dict]:
-    """Feasibility verdicts across a family of configurations.
+def sweep_feasibility(cfg: NetworkConfig, alignment, channel_seeds=(0,),
+                      scales=(1, 2)) -> list[tuple[int, int, FeasibilityReport]]:
+    """Feasibility verdicts for one configuration across scalings and channel draws.
 
-    Each family member is checked at every scale in ``scales`` (the verdict
-    must not depend on scaling) and every channel seed (the verdict must not
-    depend on the draw).  Rows report the verdict, deciding method and rank
-    evidence.
+    The verdict must not depend on the scale factor ``c`` (every antenna and
+    stream count times ``c``) nor on the channel seed.  The alignment set,
+    every scale and every seed are checked before the first verdict; scaling
+    keeps the pairs valid, so one alignment set serves every scale.  Returns
+    ``[(scale, seed, report), ...]``, scale-major.
     """
-    rows: list[dict] = []
-    for idx, cfg in enumerate(cfg_family):
-        for c in scales:
-            scaled = scale_config(cfg, c)
-            pairs = alignment_all(scaled) if alignment is None else alignment
-            for seed in channel_seeds:
-                report: FeasibilityReport = feasibility_check(scaled, pairs, seed=seed)
-                rows.append(
-                    {
-                        "member": idx,
-                        "scale": c,
-                        "seed": int(seed),
-                        "feasible": report.feasible,
-                        "method": report.method,
-                        "n_constraints": report.n_constraints,
-                        "n_variables": report.n_variables,
-                        "rank": report.rank,
-                    }
-                )
-    return rows
+    pairs = canonical_alignment(cfg, alignment)
+    scaled = [(c, scale_config(cfg, c)) for c in scales]
+    seeds = [_check_seed(seed) for seed in channel_seeds]
+    return [(c, seed, feasibility_check(cfg_c, pairs, seed=seed))
+            for c, cfg_c in scaled for seed in seeds]

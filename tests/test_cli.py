@@ -2,7 +2,8 @@ import pytest
 
 from conftest import CONFIG_INFEASIBLE, CONFIG_SYM
 from gia.cli import main
-from gia.network import NetworkConfig, alignment_all, save_config
+from gia.feasibility import feasibility_check
+from gia.network import NetworkConfig, alignment_all, save_config, scale_config
 
 
 @pytest.fixture
@@ -87,6 +88,18 @@ class TestDesignCommand:
         assert "verification = pass" in printed
         assert (tmp_path / "trace.csv.solution.txt").exists()
 
+    def test_huge_tol_stops_after_one_round(self, easy_config_file, tmp_path, capsys):
+        # tol**2 overflows the float range; the run stops at the first
+        # round and verification at --tol decides the exit code
+        out = tmp_path / "trace.csv"
+        code = main(["design", "--config", easy_config_file, "--out", str(out),
+                     "--tol", "1e200", "--budget", "300"])
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "rounds_used = 1" in printed
+        assert "stop_reason = tolerance" in printed
+        assert "verification = pass" in printed
+
     def test_budget_zero_fails_with_initial_trace(self, easy_config_file, tmp_path):
         out = tmp_path / "trace.csv"
         code = main(["design", "--config", easy_config_file, "--out", str(out), "--budget", "0"])
@@ -149,9 +162,30 @@ class TestSweepCommand:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "member,scale,seed,feasible,method,C,V,rank"
+        assert lines[0] == "scale,seed,feasible,method,C,V,rank,tolerance"
         assert len(lines) == 5
-        assert all(line.split(",")[3] == "true" for line in lines[1:])
+        assert all(line.split(",")[2] == "true" for line in lines[1:])
+
+    def test_rows_are_verdict_records(self, infeasible_config_file, capsys):
+        assert main(["sweep", "--config", infeasible_config_file, "--seeds", "0,1",
+                     "--scales", "1,2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        pairs = alignment_all(CONFIG_INFEASIBLE)
+        assert lines[1:] == [
+            f"{c},{s}," + feasibility_check(scale_config(CONFIG_INFEASIBLE, c), pairs,
+                                            seed=s).to_line()
+            for c in (1, 2) for s in (0, 1)
+        ]
+
+    def test_bad_scale_fails_before_any_verdict(self, sym_config_file, monkeypatch, capsys):
+        import gia.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "feasibility_check",
+                            lambda *args, **kwargs: calls.append(args))
+        assert main(["sweep", "--config", sym_config_file, "--scales", "1,0"]) == 2
+        assert capsys.readouterr().err.startswith("error: scale factor")
+        assert calls == []
 
     def test_partial_alignment_set_from_config(self, tmp_path, capsys):
         path = tmp_path / "partial.cfg"
@@ -162,7 +196,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path), "--seeds", "0,1", "--scales", "1"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 2
-        assert all(row.split(",")[5] == n_constraints for row in rows)
+        assert all(row.split(",")[4] == n_constraints for row in rows)
 
 
 class TestOutputPaths:
@@ -172,7 +206,14 @@ class TestOutputPaths:
         ["design", "--config", "{cfg}", "--out", "{dir}/t.csv", "--solution", "{missing}/s.txt"],
         ["sweep", "--config", "{cfg}", "--out", "{missing}/sweep.csv"],
         ["fig6", "--id", "3", "--out-dir", "{file}/fig"],
-    ], ids=["test1", "design-out", "design-solution", "sweep", "fig6"])
+        ["test1", "-n", "1000", "--out", "{dir}"],
+        ["design", "--config", "{cfg}", "--out", "{dir}"],
+        ["design", "--config", "{cfg}", "--out", "{dir}/t.csv", "--solution", "{dir}"],
+        ["design", "--config", "{cfg}", "--out", "{dir}/taken.csv"],
+        ["sweep", "--config", "{cfg}", "--out", "{dir}"],
+    ], ids=["test1", "design-out", "design-solution", "sweep", "fig6", "test1-dir",
+            "design-out-dir", "design-solution-dir", "design-default-solution-dir",
+            "sweep-dir"])
     def test_bad_path_fails_before_the_work(self, argv, sym_config_file, tmp_path, monkeypatch,
                                             capsys):
         import gia.cli as cli
@@ -183,6 +224,7 @@ class TestOutputPaths:
         for name in ("run_test1", "run_fig6", "run_gia", "sweep_feasibility"):
             monkeypatch.setattr(cli, name, no_work)
         (tmp_path / "file").write_text("")
+        (tmp_path / "taken.csv.solution.txt").mkdir()
         argv = [arg.format(cfg=sym_config_file, dir=tmp_path, missing=tmp_path / "missing",
                            file=tmp_path / "file") for arg in argv]
         assert main(argv) == 2

@@ -18,7 +18,8 @@ from gia.harness import (
     trial_seed,
     write_trial_csv,
 )
-from gia.network import NetworkConfig
+from gia.feasibility import feasibility_check
+from gia.network import ConfigError, NetworkConfig, alignment_all, scale_config
 
 SMALL_BOUNDS = SamplingBounds(K_choices=(2, 3), d_choices=(1, 2), max_antennas=6)
 
@@ -228,19 +229,54 @@ class TestSweep:
             NetworkConfig(4, 0, (2,) * 4, (3,) * 4, (1,) * 4),  # 5: feasible
             NetworkConfig(4, 0, (3,) * 4, (3,) * 4, (1,) * 4),  # 6: feasible
         ]
-        rows = sweep_feasibility(family, channel_seeds=(0,), scales=(1,))
-        verdicts = [r["feasible"] for r in rows]
+        verdicts = [report.feasible
+                    for cfg in family
+                    for _, _, report in sweep_feasibility(cfg, alignment_all(cfg), scales=(1,))]
         assert verdicts == [False, True, True]
 
     def test_scaling_preserves_verdict(self):
-        rows = sweep_feasibility([CONFIG_SYM, CONFIG_INFEASIBLE], channel_seeds=(0,), scales=(1, 2))
-        by_member = {}
-        for r in rows:
-            by_member.setdefault(r["member"], set()).add(r["feasible"])
-        assert by_member[0] == {True}
-        assert by_member[1] == {False}
+        for cfg, feasible in ((CONFIG_SYM, True), (CONFIG_INFEASIBLE, False)):
+            rows = sweep_feasibility(cfg, alignment_all(cfg), channel_seeds=(0,), scales=(1, 2))
+            assert [(c, s) for c, s, _ in rows] == [(1, 0), (2, 0)]
+            assert {report.feasible for _, _, report in rows} == {feasible}
 
     def test_verdict_independent_of_seed(self):
-        rows = sweep_feasibility([CONFIG_INFEASIBLE], channel_seeds=tuple(range(10)), scales=(1,))
-        assert {r["feasible"] for r in rows} == {False}
-        assert len(rows) == 10
+        rows = sweep_feasibility(CONFIG_INFEASIBLE, alignment_all(CONFIG_INFEASIBLE),
+                                 channel_seeds=tuple(range(10)), scales=(1,))
+        assert {report.feasible for _, _, report in rows} == {False}
+        assert [s for _, s, _ in rows] == list(range(10))
+
+    def test_rows_are_scale_major_feasibility_reports(self):
+        pairs = alignment_all(CONFIG_INFEASIBLE)
+        rows = sweep_feasibility(CONFIG_INFEASIBLE, pairs, channel_seeds=(3, 1), scales=(2, 1))
+        assert rows == [(c, s, feasibility_check(scale_config(CONFIG_INFEASIBLE, c), pairs, seed=s))
+                        for c in (2, 1) for s in (3, 1)]
+
+    def test_one_shot_iterator_alignment(self):
+        # the first verdict must not use up the alignment set for the rest
+        pairs = alignment_all(CONFIG_INFEASIBLE)
+        expected = sweep_feasibility(CONFIG_INFEASIBLE, pairs, channel_seeds=(0, 1), scales=(1, 2))
+        assert sweep_feasibility(CONFIG_INFEASIBLE, iter(pairs), channel_seeds=iter((0, 1)),
+                                 scales=iter((1, 2))) == expected
+        assert {report.n_constraints for _, _, report in expected} == {54, 216}
+
+    @pytest.mark.parametrize("alignment, seeds, scales, error", [
+        (((1, 2), (3, 3)), (0, 1), (1, 2), ConfigError),
+        (((1, 2), (4, 1)), (0, 1), (1, 2), ConfigError),
+        (((1, 2),), (0, -1), (1, 2), ValueError),
+        (((1, 2),), (0, 2**64), (1, 2), ValueError),
+        (((1, 2),), (0, 1.0), (1, 2), ValueError),
+        (((1, 2),), (0, 1), (1, 0), ConfigError),
+        (((1, 2),), (0, 1), (1, 1.5), ConfigError),
+    ], ids=["direct-pair", "receiver-out-of-range", "negative-seed", "seed-too-large",
+            "float-seed", "zero-scale", "float-scale"])
+    def test_bad_input_raises_before_any_verdict(self, alignment, seeds, scales, error,
+                                                 monkeypatch):
+        import gia.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "feasibility_check",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(error):
+            sweep_feasibility(CONFIG_INFEASIBLE, alignment, channel_seeds=seeds, scales=scales)
+        assert calls == []
