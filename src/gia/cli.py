@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .aligner import run_gia, verify_solution
-from .feasibility import feasibility_check
+from .feasibility import FeasibilityReport, feasibility_check
 from .harness import (
     BENCHMARK_CONFIGS,
     run_fig6,
@@ -177,7 +177,7 @@ def _cmd_fig6(args) -> int:
 def _cmd_sweep(args) -> int:
     _check_parent(args.out)
     cfg, pairs, _ = load_config(args.config)
-    lines = ["scale,seed,feasible,method,C,V,rank,tolerance"]
+    lines = [f"scale,seed,{FeasibilityReport.FIELDS}"]
     lines.extend(f"{c},{seed},{report.to_line()}"
                  for c, seed, report in sweep_feasibility(cfg, pairs, args.seeds, args.scales))
     text = "\n".join(lines) + "\n"

@@ -33,10 +33,10 @@ Besides the generic rank test this module implements the cheap necessary
 counting condition (properness) and two closed-form special cases (symmetric
 and stream-divisible configurations) that bypass the rank computation when
 they apply.  Properness quantifies over every subset of the alignment set and
-is decided by one max-flow/min-cut computation, whose minimum cut names a
-violating subset.  It is the only subset condition: on the classes where the
-closed forms apply they are equivalent to it, so they name the class that
-makes properness sufficient rather than decide anything new.
+is decided by one max-flow from transmitters to receivers, whose minimum cut
+names a violating subset.  It is the only subset condition: on the classes
+where the closed forms apply they are equivalent to it, so they name the
+class that makes properness sufficient rather than decide anything new.
 """
 
 from __future__ import annotations
@@ -116,9 +116,10 @@ class FeasibilityReport:
     rank: int
     method: str
     tolerance: float
+    FIELDS = "feasible,method,C,V,rank,tolerance"  # the names of to_line()'s fields
 
     def to_line(self) -> str:
-        """Single-line record: ``feasible,method,C,V,rank,tolerance``."""
+        """Single-line record with the fields named by ``FIELDS``, in that order."""
         return (
             f"{'true' if self.feasible else 'false'},{self.method},"
             f"{self.n_constraints},{self.n_variables},{self.rank},{self.tolerance!r}"
@@ -237,43 +238,41 @@ def check_proper(cfg: NetworkConfig, alignment):
     This is the one subset condition of the package; the closed forms below
     restate it on their classes.
 
-    All subsets are decided by one max-flow, in polynomial time: source ->
-    pair (capacity ``d_k d_j``) -> its receiver and transmitter node
-    (uncapped) -> sink (capacity ``d_k (N_k - d_k)`` / ``d_j (M_j - d_j)``).
-    The condition holds iff the flow saturates the source; otherwise the
-    pairs left reachable from the source by the last search form the source
-    side of a minimum cut, and that subset violates the condition.
+    One max-flow from transmitters to receivers decides every subset.  With
+    ``c_jk = d_k d_j`` per aligned pair, ``t_j = d_j (M_j - d_j)`` and
+    ``r_k = d_k (N_k - d_k)``: only a pair's own two nodes can cover its
+    constraints, so transmitter ``j`` covers what it can and only
+    ``need_j = max(0, sum_k c_jk - t_j)`` enters the network, source -> ``j``
+    (capacity ``need_j``) -> ``k`` (``c_jk``) -> sink (``r_k``).  A cut with
+    transmitters ``A`` of positive need and receivers ``B`` on the source side
+    falls short of ``sum_j need_j`` by the excess of the pairs between them,
+    ``sum_{j in A, k in B} c_jk - sum_A t_j - sum_B r_k``.  So a violating
+    subset (its receivers, its transmitters of positive need) makes the flow
+    short, and a short flow's last search reaches only transmitters of
+    positive need, so its minimum cut names pairs that violate the condition.
 
     Returns
     -------
     (bool, tuple of pairs or None)
-        Verdict plus one violating subset (a minimum-cut side) when improper.
+        Verdict plus one violating subset (named by a minimum cut) when improper.
     """
     pairs = canonical_alignment(cfg, alignment)
     rx, tx = free_shapes(cfg)
-    rx_cap = {k: math.prod(rx[k - 1]) for k, _ in pairs}
-    tx_cap = {j: math.prod(tx[j - 1]) for _, j in pairs}
-    demand = [cfg.d[k - 1] * cfg.d[j - 1] for k, j in pairs]
-    n = len(pairs)
-    rx_node = {k: n + 1 + i for i, k in enumerate(rx_cap)}
-    tx_node = {j: n + 1 + len(rx_cap) + i for i, j in enumerate(tx_cap)}
-    sink = n + 1 + len(rx_cap) + len(tx_cap)
-    residual: list[dict[int, int]] = [{} for _ in range(sink + 1)]
+    sink = cfg.n_tx + cfg.K + 1  # source 0, transmitter j at j, receiver k at n_tx + k
+    residual: dict[int, dict[int, int]] = {0: {}}
 
     def edge(a, b, cap):
-        residual[a][b] = cap
-        residual[b].setdefault(a, 0)
+        residual.setdefault(a, {})[b] = cap
+        residual.setdefault(b, {}).setdefault(a, 0)
 
-    total = sum(demand)
-    uncapped = total + 1
-    for i, (k, j) in enumerate(pairs, start=1):
-        edge(0, i, demand[i - 1])
-        edge(i, rx_node[k], uncapped)
-        edge(i, tx_node[j], uncapped)
-    for k, node in rx_node.items():
-        edge(node, sink, rx_cap[k])
-    for j, node in tx_node.items():
-        edge(node, sink, tx_cap[j])
+    need: dict[int, int] = {}
+    for k, j in pairs:
+        need[j] = need.get(j, 0) + cfg.d[k - 1] * cfg.d[j - 1]
+        edge(j, cfg.n_tx + k, cfg.d[k - 1] * cfg.d[j - 1])
+        edge(cfg.n_tx + k, sink, math.prod(rx[k - 1]))
+    for j in need:
+        need[j] = max(0, need[j] - math.prod(tx[j - 1]))
+        edge(0, j, need[j])
 
     flow = 0
     while True:  # Edmonds-Karp: augment along shortest residual paths
@@ -297,9 +296,9 @@ def check_proper(cfg: NetworkConfig, alignment):
             residual[a][b] -= push
             residual[b][a] += push
         flow += push
-    if flow == total:
+    if flow == sum(need.values()):
         return True, None
-    return False, tuple(p for i, p in enumerate(pairs, start=1) if i in parent)
+    return False, tuple((k, j) for k, j in pairs if j in parent and cfg.n_tx + k in parent)
 
 
 def check_symmetric_formula(cfg: NetworkConfig, alignment):

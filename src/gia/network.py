@@ -353,7 +353,7 @@ def load_config(path):
     """
     raw: dict[str, tuple[int, str]] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise ConfigParseError(f"{path}: not a UTF-8 text file") from None
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -450,6 +450,15 @@ class TestVerifySolution:
         report = verify_solution(cfg, (), channel, TransceiverSet.identity(cfg))
         assert report.passed
 
+    def test_rank_deficient_direct_link_fails(self):
+        cfg = NetworkConfig(K=1, J=0, M=(3,), N=(3,), d=(2,))
+        channel = generate_channel(cfg, 5)
+        ts = TransceiverSet.identity(cfg)
+        bad_U = (np.hstack([ts.U[0][:, :1], ts.U[0][:, :1]]),)
+        report = verify_solution(cfg, (), channel, TransceiverSet(bad_U, ts.V))
+        assert not report.passed
+        assert report.failures == ("direct link 1: rank 1 != d_1=2",)
+
     def test_rank_deficient_jammer_precoder_fails(self):
         cfg = NetworkConfig(K=1, J=1, M=(2, 3), N=(2,), d=(1, 2))
         channel = generate_channel(cfg, 6)

@@ -1,9 +1,18 @@
+from pathlib import Path
+
 import pytest
 
-from conftest import CONFIG_INFEASIBLE, CONFIG_SYM
+from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM
 from gia.cli import main
 from gia.feasibility import feasibility_check
-from gia.network import NetworkConfig, alignment_all, save_config, scale_config
+from gia.network import (
+    ConfigParseError,
+    NetworkConfig,
+    alignment_all,
+    load_config,
+    save_config,
+    scale_config,
+)
 
 
 @pytest.fixture
@@ -44,6 +53,31 @@ class TestFeasibilityCommand:
         bad.write_text("K = 3\nwhat = ever\n")
         assert main(["feasibility", "--config", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("M =", r"line 3: key 'M' expects a comma-separated integer list"),
+        ("M 2, 2", r"line 3: expected 'key = value', got 'M 2, 2'"),
+        ("alignment = 1,2; 2", r"line 6: alignment entry '2' is not of the form 'k,j'"),
+        ("seed = 18446744073709551616",
+         r"line 7: seed must be an unsigned 64-bit integer, got 18446744073709551616"),
+    ], ids=["empty-list", "no-equals", "bad-alignment-entry", "seed-too-large"])
+    def test_bad_line_named_exit_two(self, tmp_path, capsys, line, message):
+        lines = ["K = 2", "J = 0", "M = 2, 2", "N = 2, 2", "d = 1, 1", "alignment = all",
+                 "seed = 0"]
+        key = line.split()[0]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(line if ln.split()[0] == key else ln for ln in lines) + "\n")
+        with pytest.raises(ConfigParseError, match=message):
+            load_config(bad)
+        assert main(["feasibility", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: line ")
+
+    def test_byte_order_mark_accepted(self, sym_config_file, tmp_path, capsys):
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(sym_config_file).read_bytes())
+        assert load_config(marked) == load_config(sym_config_file)
+        assert main(["feasibility", "--config", str(marked)]) == 0
+        assert capsys.readouterr().out.startswith("true,symmetric_formula,")
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["feasibility", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -147,6 +181,21 @@ class TestFig6Command:
         assert (out_dir / "gia.csv").read_bytes() == gia_bytes
         assert (out_dir / "classical.csv").read_bytes() == classical_bytes
 
+    def test_stop_db_ends_each_trace_where_it_is_reached(self, tmp_path):
+        out_dir = tmp_path / "fig"
+        assert main(["fig6", "--id", "1", "--rounds", "200", "--stop-db", "-20",
+                     "--out-dir", str(out_dir)]) == 0
+        for name in ("gia.csv", "classical.csv"):
+            i_db = [float(row.split(",")[2])
+                    for row in (out_dir / name).read_text().splitlines()[1:]]
+            assert i_db[-1] <= -20.0 < min(i_db[:-1])
+
+    def test_stop_db_not_a_number_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig6", "--id", "1", "--stop-db", "minus20", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --stop-db: 'minus20' is not a finite number" in capsys.readouterr().err
+
     def test_bad_id_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fig6", "--id", "7", "--out-dir", str(tmp_path)])
@@ -176,6 +225,16 @@ class TestSweepCommand:
                                             seed=s).to_line()
             for c in (1, 2) for s in (0, 1)
         ]
+
+    def test_header_names_every_field(self, tmp_path, capsys):
+        for cfg in (CONFIG_SYM, CONFIG_ASYM, CONFIG_INFEASIBLE):
+            path = tmp_path / "net.cfg"
+            save_config(path, cfg, alignment_all(cfg))
+            assert main(["sweep", "--config", str(path), "--seeds", "0,1",
+                         "--scales", "1,2"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 5
+            assert {len(line.split(",")) for line in lines} == {len(lines[0].split(","))}
 
     def test_bad_scale_fails_before_any_verdict(self, sym_config_file, monkeypatch, capsys):
         import gia.harness as harness

@@ -243,13 +243,13 @@ class TestCheckProper:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
-        improper = 0
-        for _ in range(120):
+        improper = self_covering = no_free_node = improper_with_jammer = 0
+        for _ in range(300):
             K = int(rng.integers(2, 5))
             J = int(rng.integers(0, 3))
-            d = tuple(int(rng.integers(1, 3)) for _ in range(K + J))
-            M = tuple(int(rng.integers(dj, 5)) for dj in d)
-            N = tuple(int(rng.integers(dk, 5)) for dk in d[:K])
+            d = tuple(int(rng.integers(1, 4)) for _ in range(K + J))
+            M = tuple(int(rng.integers(dj, 8)) for dj in d)
+            N = tuple(int(rng.integers(dk, 8)) for dk in d[:K])
             cfg = NetworkConfig(K=K, J=J, M=M, N=N, d=d)
             pairs = random_alignment(rng, cfg)
             ok, violating = check_proper(cfg, pairs)
@@ -260,7 +260,16 @@ class TestCheckProper:
                 improper += 1
                 assert set(violating) <= set(pairs)
                 assert violates(cfg, violating)
+                improper_with_jammer += any(j > K for _, j in pairs)
+            # the draws include a transmitter that covers all its pairs alone
+            # and a node without free variables
+            load = {}
+            for k, j in pairs:
+                load[j] = load.get(j, 0) + d[k - 1] * d[j - 1]
+            self_covering += any(d[j - 1] * (M[j - 1] - d[j - 1]) >= c for j, c in load.items())
+            no_free_node += any(d[j - 1] == M[j - 1] or d[k - 1] == N[k - 1] for k, j in pairs)
         assert improper > 0
+        assert self_covering > 0 and no_free_node > 0 and improper_with_jammer > 0
 
     def test_violating_subset_actually_violates(self):
         cfg = NetworkConfig(K=3, J=0, M=(2, 1, 2), N=(1, 2, 2), d=(1, 1, 1))

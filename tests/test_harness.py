@@ -153,6 +153,7 @@ class TestTrials:
 
         monkeypatch.setattr(harness, "sample_random_config", no_work)
         for call, name in ((lambda: run_test1(2.5, budget=10), "n_trials"),
+                           (lambda: run_test1(0, budget=10), "n_trials must be at least 1"),
                            (lambda: run_test1(2, budget=2.5), "budget"),
                            (lambda: run_test1(2, budget=-1), "budget"),
                            (lambda: run_trial(0, 1, "gia", budget=1.5), "budget")):

@@ -47,6 +47,21 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             NetworkConfig(**{"K": 2, "J": 0, "M": (2, 2), "N": (2, 2), "d": (1, 1), **bad})
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"K": 0, "M": (), "N": (), "d": ()}, "K must be positive, got 0"),
+        ({"J": -1, "M": (2,), "d": (1,)}, "J must be nonnegative, got -1"),
+        ({"M": (2,)}, r"M must list K\+J=2 values, got 1"),
+        ({"d": (1, 1, 1)}, r"d must list K\+J=2 values, got 3"),
+        ({"M": (2, 0), "d": (1, 0)}, "M_2 must be positive, got 0"),
+        ({"d": (0, 1)}, "d_1 must be positive, got 0"),
+        ({"N": (2, 0)}, "N_2 must be positive, got 0"),
+        ({"N": (2, 1), "d": (1, 2)}, "d_2=2 exceeds receive antennas N_2=1"),
+    ], ids=["K-zero", "J-negative", "M-length", "d-length", "M-zero", "d-zero", "N-zero",
+            "d-above-N"])
+    def test_out_of_range_rejected(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            NetworkConfig(**{"K": 2, "J": 0, "M": (2, 2), "N": (2, 2), "d": (1, 1), **bad})
+
     def test_length_mismatch(self):
         with pytest.raises(ConfigError, match="N must list"):
             NetworkConfig(K=3, J=0, M=(2, 2, 2), N=(2, 2), d=(1, 1, 1))
@@ -119,6 +134,7 @@ class TestProblem:
             (lambda h: h * np.nan, r"channel \(1,2\) has non-finite entries"),
             (lambda h: h.tolist(), r"channel \(1,2\) is a list, expected a numpy array"),
             (lambda h: h.astype(object), r"channel \(1,2\) has non-numeric entries of dtype object"),
+            (lambda h: h[:, :-1], r"channel \(1,2\) has shape \(6, 5\), expected \(6, 6\)"),
         ):
             channel = generate_channel(cfg, 0)
             channel[(1, 2)] = spoil(channel[(1, 2)])
