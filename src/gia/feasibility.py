@@ -24,10 +24,18 @@ diagonal per receiver, ``I_{d_k} (x) A_k^T`` with
 block is eliminated in closed form: it contributes ``d_k rank(A_k)`` to the
 rank, and projecting its rows off the range of ``A_k^T`` leaves a reduced
 precoder matrix ``R`` with far fewer rows.  The rank of the
-coefficient matrix is the decoder count plus ``rank R``, and it has full row
-rank iff ``R`` does; only ``R`` goes to an SVD.
-:func:`build_coefficient_matrix` stays the reference the elimination is
-tested against.
+coefficient matrix is ``sum_k d_k rank(A_k)`` plus ``rank R``, and it has
+full row rank iff ``R`` does; only ``R`` goes to an SVD.  By uplink-downlink
+reciprocity the precoder blocks can be eliminated instead: that is the
+decoder elimination of the reciprocal network (``M <-> N``, pair
+``(k, j) -> (j, k)``, links ``H_kj^H``), whose coefficient matrix is the
+original's complex conjugate up to row and column order, and it leaves a
+reduced decoder matrix.  For a generic channel
+``rank A_k = min(N_k - d_k, sum_j d_j)``, so both shapes are known before
+any SVD, and the rank test eliminates the side whose ``R`` is cheaper to
+decompose, by ``min(rows, cols)^2 max(rows, cols)``; on a tie it eliminates
+the decoders.  :func:`build_coefficient_matrix` stays the reference the
+elimination is tested against.
 
 Besides the generic rank test this module implements the cheap necessary
 counting condition (properness) and two closed-form special cases (symmetric
@@ -103,11 +111,14 @@ class FeasibilityReport:
     ``method`` names the deciding path: ``hall_rank`` (generic rank test),
     ``proper_fail`` (counting condition violated), ``symmetric_formula`` or
     ``divisible_formula`` (closed-form special case).  After the rank test,
-    ``rank`` is the rank of the coefficient matrix, the decoder-block count
-    ``sum_k d_k rank(A_k)`` plus the rank of the reduced precoder matrix, and
-    ``tolerance`` is the singular-value cutoff applied to the reduced matrix,
-    0.0 when it has no entries.  ``rank`` is -1 and ``tolerance`` 0.0 when
-    the rank test was not run.
+    ``rank`` is the rank of the coefficient matrix: the rank
+    ``sum_n d_n rank(A_n)`` of the eliminated side's blocks plus the rank of
+    the reduced matrix that is left.  ``tolerance`` is the singular-value
+    cutoff applied to that reduced matrix, the one that was decomposed
+    (precoder columns when the decoders were eliminated, decoder columns
+    otherwise), and 0.0 when it has no entries.  So ``rank`` does not depend
+    on the side, and ``tolerance`` does.  ``rank`` is -1 and ``tolerance``
+    0.0 when the rank test was not run.
     """
 
     feasible: bool
@@ -178,39 +189,74 @@ def build_coefficient_matrix(cfg: NetworkConfig, alignment, channel: Channel) ->
     return _jacobian(Problem(cfg, alignment, channel), TransceiverSet.identity(cfg))
 
 
-def _eliminate_decoders(problem: Problem) -> tuple[int, np.ndarray]:
-    """The coefficient matrix's decoder columns, eliminated in closed form.
+def _eliminate(links, d, columns) -> tuple[int, np.ndarray]:
+    """One side's variable blocks of the coefficient matrix, eliminated in closed form.
 
-    Up to row order, receiver ``k``'s rows of the decoder columns are
-    ``I_{d_k} (x) A_k^T``, with ``A_k = [H_kj[d_k:, :d_j]]_j`` over its aligned
-    ``j``, and no other rows touch its columns.  With ``r_k = rank A_k`` and
-    ``W_k`` an orthonormal basis of the complement of the range of
-    ``A_k^T``, the rows ``W_k^H [kron(I_{d_j}, H_kj[p, d_j:])]_j`` over the
-    streams ``p`` of each receiver form the reduced precoder matrix ``R``.
-    Returns ``(sum_k d_k r_k, R)``: the coefficient matrix has rank
-    ``sum_k d_k r_k + rank R``, so it has full row rank iff ``R`` does.
+    ``links`` is ``Problem.by_rx`` (the decoder side) or
+    ``Problem.by_tx`` (the precoder side: the decoder side of the
+    reciprocal network, whose constraints are the originals
+    conjugate-transposed), ``d`` the stream counts, and ``columns`` the other
+    side's column layout: node ``o``'s variables start at ``columns[o - 1]``
+    and ``columns[-1]`` counts them all.  Up to row order, node ``n``'s rows of
+    its own columns are ``I_{d_n} (x) A_n^T``, with ``A_n = [G_no[d_n:, :d_o]]_o``
+    over its links ``G_no``, and no other rows touch its columns.  With
+    ``r_n = rank A_n`` and ``W_n`` an orthonormal basis of the complement of
+    the range of ``A_n^T``, the rows ``W_n^H [kron(I_{d_o}, G_no[p, d_o:])]_o``
+    over the streams ``p`` of each node form the reduced matrix ``R``: the
+    projected precoder columns on the decoder side, and the complex conjugate
+    of the projected decoder columns on the precoder side.  Returns
+    ``(sum_n d_n r_n, R)``: the coefficient matrix has rank
+    ``sum_n d_n r_n + rank R``, so it has full row rank iff ``R`` does.
     """
+    eliminated = 0
+    blocks = [np.zeros((0, columns[-1]), dtype=np.complex128)]
+    for n, node_links in links.items():
+        dn = d[n - 1]
+        r, W = column_complement(np.hstack([G[dn:, : d[o - 1]] for o, G in node_links]).T)
+        eliminated += dn * r
+        Wh = W.conj().T
+        block = np.zeros((dn * Wh.shape[0], columns[-1]), dtype=np.complex128)
+        q0 = 0
+        for o, G in node_links:
+            do = d[o - 1]
+            c, width = columns[o - 1], do * (G.shape[1] - do)
+            # row (p, w), column (q, m) holds Wh[w, q0 + q] * G[p, do + m]
+            block[:, c : c + width] = np.einsum(
+                "wq,pm->pwqm", Wh[:, q0 : q0 + do], G[:dn, do:]).reshape(len(block), width)
+            q0 += do
+        blocks.append(block)
+    return eliminated, np.concatenate(blocks)
+
+
+def _reduced_shape(links, d, columns) -> tuple[int, int]:
+    """Shape of the ``R`` that :func:`_eliminate` leaves, from the dimensions alone.
+
+    Node ``n``'s links ``G_no`` have one row per antenna of ``n``, ``a_n``.
+    For a generic channel ``rank A_n = min(a_n - d_n, sum_o d_o)``, so ``R``
+    has ``sum_n d_n (sum_o d_o - rank A_n)`` rows and one column per variable
+    of the other side.
+    """
+    rows = 0
+    for n, node_links in links.items():
+        dn, streams = d[n - 1], sum(d[o - 1] for o, _ in node_links)
+        rows += dn * (streams - min(len(node_links[0][1]) - dn, streams))
+    return rows, columns[-1]
+
+
+def _svd_cost(side) -> int:
+    """Cost of decomposing the ``R`` that eliminating ``side`` leaves, ``min(r, c)^2 max(r, c)``."""
+    lo, hi = sorted(_reduced_shape(*side))
+    return lo * lo * hi
+
+
+def _sides(problem: Problem):
+    """The arguments of :func:`_eliminate` for either side, decoder side first."""
     cfg = problem.cfg
     _, col_index, _, n_vars = _layout(cfg, problem.pairs)
     v0 = col_index[("V", 1)]
-    decoder_rank = 0
-    blocks = [np.zeros((0, n_vars - v0), dtype=np.complex128)]
-    for k, links in problem.by_rx.items():
-        dk = cfg.d[k - 1]
-        r, W = column_complement(np.hstack([H[dk:, : cfg.d[j - 1]] for j, H in links]).T)
-        decoder_rank += dk * r
-        Wh = W.conj().T
-        block = np.zeros((dk * Wh.shape[0], n_vars - v0), dtype=np.complex128)
-        q0 = 0
-        for j, H in links:
-            dj = cfg.d[j - 1]
-            c, width = col_index[("V", j)] - v0, dj * (H.shape[1] - dj)
-            # row (p, w), column (q, m) holds Wh[w, q0 + q] * H[p, dj + m]
-            block[:, c : c + width] = np.einsum(
-                "wq,pm->pwqm", Wh[:, q0 : q0 + dj], H[:dk, dj:]).reshape(len(block), width)
-            q0 += dj
-        blocks.append(block)
-    return decoder_rank, np.concatenate(blocks)
+    decoders = [col_index[("U", k)] for k in range(1, cfg.K + 1)] + [v0]
+    precoders = [col_index[("V", j)] - v0 for j in range(1, cfg.n_tx + 1)] + [n_vars - v0]
+    return (problem.by_rx, cfg.d, precoders), (problem.by_tx, cfg.d, decoders)
 
 
 def build_jacobian(cfg: NetworkConfig, alignment, channel: Channel,
@@ -375,8 +421,9 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     Properness is checked first: it is necessary everywhere, and on the
     symmetric and divisible classes it is also sufficient (their closed
     forms restate it), so there it decides and the report names the class.
-    The generic rank test of the coefficient matrix, with each receiver's
-    decoder block eliminated in closed form, decides the rest.
+    The generic rank test of the coefficient matrix decides the rest, with
+    the variable blocks of one side eliminated in closed form: the side that
+    leaves the cheaper reduced matrix, the decoders on a tie.
     Because the verdict depends only on the configuration and alignment set
     (not the channel draw), a single random channel is generated from
     ``seed`` when none is supplied.  The seed and a supplied channel are
@@ -398,9 +445,10 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     else:
         if channel is None:
             channel = generate_channel(cfg, seed)
-        decoder_rank, reduced = _eliminate_decoders(Problem(cfg, pairs, channel))
+        # min keeps the first of equal costs: the decoder side
+        eliminated, reduced = _eliminate(*min(_sides(Problem(cfg, pairs, channel)), key=_svd_cost))
         rr = numerical_rank(reduced)
-        rank = decoder_rank + rr.rank
+        rank = eliminated + rr.rank
         return FeasibilityReport(rank == n_constraints, n_constraints, n_variables, rank,
                                  "hall_rank", rr.tolerance_used)
     return FeasibilityReport(proper, n_constraints, n_variables, -1, method, 0.0)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from conftest import (
     random_point,
 )
 from gia.feasibility import (
-    _eliminate_decoders,
+    _eliminate,
+    _reduced_shape,
+    _sides,
     build_coefficient_matrix,
     build_jacobian,
     check_divisible_formula,
@@ -26,6 +29,7 @@ from gia.network import (
     NetworkConfig,
     Problem,
     TransceiverSet,
+    _complex_normal,
     alignment_all,
     generate_channel,
     scale_config,
@@ -516,18 +520,26 @@ def full_rank(cfg, pairs, channel):
     return numerical_rank(build_coefficient_matrix(cfg, pairs, channel).matrix).rank
 
 
-def eliminated_rank(cfg, pairs, channel):
-    decoder_rank, reduced = _eliminate_decoders(Problem(cfg, pairs, channel))
-    return decoder_rank + numerical_rank(reduced).rank
+DECODERS, PRECODERS = 0, 1  # indices into _sides(problem)
 
 
-def random_elimination_instance(rng):
-    """Random network with jammers, mixed stream counts, receivers with
-    ``N_k = d_k``, partial alignment sets and some x2 scalings."""
+def eliminated_rank(cfg, pairs, channel, side=DECODERS):
+    eliminated, reduced = _eliminate(*_sides(Problem(cfg, pairs, channel))[side])
+    return eliminated + numerical_rank(reduced).rank
+
+
+def svd_cost(shape):
+    return min(shape) ** 2 * max(shape)
+
+
+def random_elimination_instance(rng, max_J=2):
+    """Random network with up to ``max_J`` jammers, mixed stream counts,
+    receivers with ``N_k = d_k``, transmitters with ``M_j = d_j``, partial
+    alignment sets and some x2 scalings."""
     K = int(rng.integers(2, 6))
-    J = int(rng.integers(0, 3))
+    J = int(rng.integers(0, max_J + 1))
     d = tuple(int(rng.integers(1, 4)) for _ in range(K + J))
-    M = tuple(int(rng.integers(dk, dk + 7)) for dk in d)
+    M = tuple(dj if rng.random() < 0.1 else int(rng.integers(dj, dj + 7)) for dj in d)
     N = tuple(dk if rng.random() < 0.15 else int(rng.integers(dk, dk + 7)) for dk in d[:K])
     cfg = NetworkConfig(K=K, J=J, M=M, N=N, d=d)
     every = alignment_all(cfg)
@@ -545,28 +557,44 @@ def random_elimination_instance(rng):
 
 
 class TestDecoderElimination:
-    """The rank test eliminates each receiver's decoder block in closed form;
-    the whole coefficient matrix is the oracle."""
+    """The rank test eliminates one side's variable blocks in closed form, the
+    side that leaves the smaller reduced matrix; the whole coefficient matrix
+    is the oracle."""
 
     def test_matches_full_matrix_on_random_instances(self):
         rng = np.random.default_rng(2024)
-        seen = {"jammers": 0, "partial": 0, "mixed d": 0, "N_k = d_k": 0, "scaled": 0,
-                "hall_rank": 0, "feasible": 0, "infeasible": 0}
+        seen = {"jammers": 0, "partial": 0, "mixed d": 0, "N_k = d_k": 0, "M_j = d_j": 0,
+                "node without pair": 0, "scaled": 0, "hall_rank": 0, "precoder side": 0,
+                "feasible": 0, "infeasible": 0}
         for _ in range(300):
             cfg, pairs, scaled = random_elimination_instance(rng)
             channel = generate_channel(cfg, int(rng.integers(2**32)))
             hall = build_coefficient_matrix(cfg, pairs, channel)
             n_constraints, rank = hall.n_constraints, numerical_rank(hall.matrix).rank
-            assert eliminated_rank(cfg, pairs, channel) == rank, (cfg, pairs)
+            costs, cutoffs = [], []
+            for side in _sides(Problem(cfg, pairs, channel)):
+                eliminated, reduced = _eliminate(*side)
+                rr = numerical_rank(reduced)
+                assert eliminated + rr.rank == rank, (cfg, pairs)
+                assert _reduced_shape(*side) == reduced.shape, (cfg, pairs)
+                costs.append(svd_cost(reduced.shape))
+                cutoffs.append(rr.tolerance_used)
             report = feasibility_check(cfg, pairs, channel)
             if report.method == "hall_rank":
                 assert (report.feasible, report.rank) == (rank == n_constraints, rank)
+                # the tolerance is the cutoff of the cheaper side's matrix, the decoder side's on a tie
+                chosen = PRECODERS if costs[PRECODERS] < costs[DECODERS] else DECODERS
+                assert report.tolerance == cutoffs[chosen]
                 seen["hall_rank"] += 1
+                seen["precoder side"] += chosen == PRECODERS
             seen["feasible" if rank == n_constraints else "infeasible"] += 1
             seen["jammers"] += cfg.J > 0
             seen["partial"] += pairs != alignment_all(cfg)
             seen["mixed d"] += len(set(cfg.d)) > 1
             seen["N_k = d_k"] += any(cfg.N[k - 1] == cfg.d[k - 1] for k, _ in pairs)
+            seen["M_j = d_j"] += any(cfg.M[j - 1] == cfg.d[j - 1] for _, j in pairs)
+            seen["node without pair"] += (len({k for k, _ in pairs}) < cfg.K
+                                          or len({j for _, j in pairs}) < cfg.n_tx)
             seen["scaled"] += scaled
         assert min(seen.values()) >= 20, seen
 
@@ -595,11 +623,45 @@ class TestDecoderElimination:
                         q0 += dj
                     rows.append(row)
         projected = np.array(rows) @ hall.matrix
-        _, reduced = _eliminate_decoders(problem)
+        _, reduced = _eliminate(*_sides(problem)[DECODERS])
         v0 = hall.col_index[("V", 1)]
         assert reduced.shape == (len(rows), hall.n_variables - v0) and len(rows) > 0
         np.testing.assert_allclose(projected[:, :v0], 0, atol=1e-12)
         np.testing.assert_allclose(projected[:, v0:], reduced, atol=1e-12)
+
+    def test_reduced_matrix_is_the_projected_decoder_columns(self):
+        # The transmit-side twin.  Transmitter j's rows of its own columns are
+        # I_{d_j} (x) B_j with B_j = [H_kj[:d_k, d_j:]]_k, and the W_j computed
+        # from its reciprocal links H_kj^H satisfies W_j^T B_j = 0.  Rows
+        # combined by W_j's columns, one combination per stream q of j, vanish
+        # on the precoder columns and equal the complex conjugate of R on the
+        # decoder columns.
+        cfg = NetworkConfig(K=3, J=1, M=(4, 5, 3, 4), N=(4, 3, 5), d=(1, 2, 1, 2))
+        pairs = alignment_all(cfg)
+        channel = generate_channel(cfg, 4)
+        hall = build_coefficient_matrix(cfg, pairs, channel)
+        problem = Problem(cfg, pairs, channel)
+        rows = []
+        for j, links in problem.by_tx.items():
+            dj = cfg.d[j - 1]
+            _, W = column_complement(np.hstack([G[dj:, : cfg.d[k - 1]] for k, G in links]).T)
+            for q in range(dj):
+                for w in W.T:
+                    row = np.zeros(hall.n_constraints, dtype=np.complex128)
+                    p0 = 0
+                    for k, _ in links:
+                        dk = cfg.d[k - 1]
+                        # the rows (p, q) of pair (k, j) sit at row_index + p * d_j + q
+                        start = hall.row_index[(k, j)] + q
+                        row[start : start + dk * dj : dj] = w[p0 : p0 + dk]
+                        p0 += dk
+                    rows.append(row)
+        projected = np.array(rows) @ hall.matrix
+        _, reduced = _eliminate(*_sides(problem)[PRECODERS])
+        v0 = hall.col_index[("V", 1)]
+        assert reduced.shape == (len(rows), v0) and len(rows) > 0
+        np.testing.assert_allclose(projected[:, v0:], 0, atol=1e-12)
+        np.testing.assert_allclose(projected[:, :v0], reduced.conj(), atol=1e-12)
 
     @pytest.mark.parametrize("cfg, pairs, reduced_shape, method", [
         # receiver 1 has N_1 = d_1: no free decoder block, so W_1 = I
@@ -622,17 +684,22 @@ class TestDecoderElimination:
     def test_edge_cases(self, cfg, pairs, reduced_shape, method):
         pairs = alignment_all(cfg) if pairs is None else pairs
         channel = generate_channel(cfg, 0)
-        _, reduced = _eliminate_decoders(Problem(cfg, pairs, channel))
+        sides = _sides(Problem(cfg, pairs, channel))
+        _, reduced = _eliminate(*sides[DECODERS])
         assert reduced.shape == reduced_shape
         rank = full_rank(cfg, pairs, channel)
         assert eliminated_rank(cfg, pairs, channel) == rank
+        assert eliminated_rank(cfg, pairs, channel, PRECODERS) == rank
+        shapes = [_eliminate(*side)[1].shape for side in sides]
+        assert [_reduced_shape(*side) for side in sides] == shapes
         report = feasibility_check(cfg, pairs, channel)
         assert report.method == method
         if method == "hall_rank":
             assert report.rank == rank
             assert report.feasible == (rank == report.n_constraints)
-            # the tolerance is the reduced matrix's cutoff, 0.0 when it is empty
-            assert (report.tolerance == 0.0) == (reduced.size == 0)
+            # the tolerance is the decomposed matrix's cutoff, 0.0 when it is empty
+            decomposed = min(shapes, key=svd_cost)
+            assert (report.tolerance == 0.0) == (math.prod(decomposed) == 0)
 
     @pytest.mark.parametrize("cfg", [CONFIG_SYM, CONFIG_ASYM, CONFIG_INFEASIBLE],
                              ids=["config1", "config2", "config3"])
@@ -644,8 +711,110 @@ class TestDecoderElimination:
         rank = full_rank(cfg, pairs, channel)
         for factor in (1e-150, 1e150):
             scaled = {link: factor * H for link, H in channel.items()}
-            assert eliminated_rank(cfg, pairs, scaled) == rank
+            for side in (DECODERS, PRECODERS):
+                assert eliminated_rank(cfg, pairs, scaled, side) == rank
             report = feasibility_check(cfg, pairs, scaled)
             assert report.feasible == (rank == report.n_constraints)
             if report.method == "hall_rank":
                 assert report.rank == rank
+
+
+def verdict(report):
+    """The fields of a report that reciprocity, relabeling and rotation keep:
+    all but ``tolerance``, the cutoff of whichever matrix was decomposed."""
+    return report.feasible, report.method, report.n_constraints, report.n_variables, report.rank
+
+
+def reciprocal(rng, cfg, pairs, channel):
+    """The reciprocal of a network without jammers: ``M <-> N``, pair
+    ``(k, j) -> (j, k)`` and links ``H_kj^H``."""
+    return (NetworkConfig(K=cfg.K, J=0, M=cfg.N, N=cfg.M, d=cfg.d),
+            tuple((j, k) for k, j in pairs),
+            {(j, k): H.conj().T for (k, j), H in channel.items()})
+
+
+def relabeled(rng, cfg, pairs, channel):
+    """The instance under a random relabeling of the pairs, and of the jammers among themselves."""
+    order = [int(o) for o in rng.permutation(cfg.K)] + [cfg.K + int(o) for o in rng.permutation(cfg.J)]
+    label = {o + 1: i + 1 for i, o in enumerate(order)}  # old node -> new node
+    return (NetworkConfig(K=cfg.K, J=cfg.J, M=tuple(cfg.M[o] for o in order),
+                          N=tuple(cfg.N[o] for o in order[: cfg.K]),
+                          d=tuple(cfg.d[o] for o in order)),
+            tuple((label[k], label[j]) for k, j in pairs),
+            {(label[k], label[j]): H for (k, j), H in channel.items()})
+
+
+def rotated(rng, cfg, pairs, channel):
+    """The instance with every link ``H_kj`` replaced by ``Q_k H_kj P_j``, for random unitaries."""
+    Q = [np.linalg.qr(_complex_normal(rng, (n, n)))[0] for n in cfg.N]
+    P = [np.linalg.qr(_complex_normal(rng, (m, m)))[0] for m in cfg.M]
+    return cfg, pairs, {(k, j): Q[k - 1] @ H @ P[j - 1] for (k, j), H in channel.items()}
+
+
+class TestRelations:
+    """Transforms of an instance that keep every verdict field but ``tolerance``.
+
+    They need no second implementation, so they also check what the oracle
+    shares with the rank test: ``_layout``, ``Problem`` and the channel.  The
+    reciprocal network swaps the sides of the elimination, and runs
+    ``check_proper``'s oriented max-flow the other way round.
+    """
+
+    @pytest.mark.parametrize("transform, max_J", [(reciprocal, 0), (relabeled, 2), (rotated, 2)],
+                             ids=["reciprocity", "relabeling", "rotation"])
+    def test_verdict_unchanged(self, transform, max_J):
+        rng = np.random.default_rng(14)
+        # proper networks of deficient rank are rare in the draws: reference 3 is one
+        instances = [(scale_config(cfg, c), None)
+                     for cfg in (CONFIG_SYM, CONFIG_ASYM, CONFIG_INFEASIBLE) for c in (1, 2)]
+        instances += [random_elimination_instance(rng, max_J)[:2] for _ in range(300)]
+        seen = {"hall_rank": 0, "feasible": 0, "infeasible": 0, "precoder side": 0,
+                "proper_fail": 0, "partial": 0}
+        for cfg, pairs in instances:
+            pairs = alignment_all(cfg) if pairs is None else pairs
+            channel = generate_channel(cfg, int(rng.integers(2**32)))
+            report = feasibility_check(cfg, pairs, channel)
+            other = feasibility_check(*transform(rng, cfg, pairs, channel))
+            assert verdict(other) == verdict(report), (cfg, pairs)
+            if report.method == "hall_rank":
+                seen["hall_rank"] += 1
+                seen["feasible" if report.feasible else "infeasible"] += 1
+                costs = [svd_cost(_reduced_shape(*side))
+                         for side in _sides(Problem(cfg, pairs, channel))]
+                seen["precoder side"] += costs[PRECODERS] < costs[DECODERS]
+            seen["proper_fail"] += report.method == "proper_fail"
+            seen["partial"] += pairs != alignment_all(cfg)
+        assert min(seen.values()) >= 5, seen
+
+
+# to_line() of the reference networks at x1-x3 and of two networks that
+# reach the rank test with equal costs on both sides (the decoder side is
+# kept) and with the precoder side cheaper, on channel seed 0.  A change of
+# side changes the decomposed matrix and with it the tolerance.
+GOLDEN = [
+    (CONFIG_SYM, 1, "true,symmetric_formula,54,54,-1,0.0"),
+    (CONFIG_SYM, 2, "true,symmetric_formula,216,216,-1,0.0"),
+    (CONFIG_SYM, 3, "true,symmetric_formula,486,486,-1,0.0"),
+    (CONFIG_ASYM, 1, "true,divisible_formula,54,54,-1,0.0"),
+    (CONFIG_ASYM, 2, "true,divisible_formula,216,216,-1,0.0"),
+    (CONFIG_ASYM, 3, "true,divisible_formula,486,486,-1,0.0"),
+    (CONFIG_INFEASIBLE, 1, "false,hall_rank,54,54,52,4.2058327322722375e-09"),
+    (CONFIG_INFEASIBLE, 2, "false,hall_rank,216,216,208,2.779061200690992e-08"),
+    (CONFIG_INFEASIBLE, 3, "false,hall_rank,486,486,468,9.356886860997335e-08"),
+    (NetworkConfig(K=2, J=0, M=(3, 4), N=(3, 4), d=(2, 2)), 1,
+     "true,hall_rank,8,12,8,1.0804032669143438e-09"),
+    (NetworkConfig(K=2, J=0, M=(5, 1), N=(3, 1), d=(2, 1)), 1,
+     "true,hall_rank,4,8,4,2.9153958524105767e-10"),
+]
+
+
+@pytest.mark.parametrize("cfg, times, line", GOLDEN, ids=[
+    "config1-x1", "config1-x2", "config1-x3", "config2-x1", "config2-x2", "config2-x3",
+    "config3-x1", "config3-x2", "config3-x3", "tie", "precoder-side"])
+def test_golden_record(cfg, times, line):
+    cfg = scale_config(cfg, times)
+    fields = feasibility_check(cfg, alignment_all(cfg), seed=0).to_line().split(",")
+    golden = line.split(",")
+    assert fields[:5] == golden[:5]
+    # the last digits of the cutoff follow the BLAS thread count
+    assert float(fields[5]) == pytest.approx(float(golden[5]), rel=1e-12)
