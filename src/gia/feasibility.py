@@ -23,8 +23,9 @@ diagonal per receiver, ``I_{d_k} (x) A_k^T`` with
 ``A_k = [H_kj[d_k:, :d_j]]_j`` up to row order, so each receiver's decoder
 block is eliminated in closed form: it contributes ``d_k rank(A_k)`` to the
 rank, and projecting its rows off the range of ``A_k^T`` leaves a reduced
-precoder matrix ``R`` with far fewer rows.  The rank of the
-coefficient matrix is ``sum_k d_k rank(A_k)`` plus ``rank R``, and it has
+matrix ``R`` with far fewer rows, one column per free precoder variable of
+a linked transmitter (the reference keeps a block for every node).  The
+coefficient matrix has rank ``sum_k d_k rank(A_k) + rank R``, and it has
 full row rank iff ``R`` does; only ``R`` goes to an SVD.  By uplink-downlink
 reciprocity the precoder blocks can be eliminated instead: that is the
 decoder elimination of the reciprocal network (``M <-> N``, pair
@@ -49,6 +50,7 @@ class that makes properness sufficient rather than decide anything new.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -81,7 +83,7 @@ __all__ = [
     "build_jacobian",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientMatrix:
     """First-order coefficient matrix with its block layout.
 
@@ -113,12 +115,12 @@ class FeasibilityReport:
     ``divisible_formula`` (closed-form special case).  After the rank test,
     ``rank`` is the rank of the coefficient matrix: the rank
     ``sum_n d_n rank(A_n)`` of the eliminated side's blocks plus the rank of
-    the reduced matrix that is left.  ``tolerance`` is the singular-value
-    cutoff applied to that reduced matrix, the one that was decomposed
-    (precoder columns when the decoders were eliminated, decoder columns
-    otherwise), and 0.0 when it has no entries.  So ``rank`` does not depend
-    on the side, and ``tolerance`` does.  ``rank`` is -1 and ``tolerance``
-    0.0 when the rank test was not run.
+    the reduced matrix that is left, one column per free variable of the
+    other side's linked nodes.  ``tolerance`` is the singular-value cutoff
+    applied to that reduced matrix, the one that was decomposed, and 0.0 when
+    it has no entries.  So ``rank`` does not depend on the side, and
+    ``tolerance`` does; its last digits also follow the BLAS thread count.
+    ``rank`` is -1 and ``tolerance`` 0.0 when the rank test was not run.
     """
 
     feasible: bool
@@ -189,74 +191,67 @@ def build_coefficient_matrix(cfg: NetworkConfig, alignment, channel: Channel) ->
     return _jacobian(Problem(cfg, alignment, channel), TransceiverSet.identity(cfg))
 
 
-def _eliminate(links, d, columns) -> tuple[int, np.ndarray]:
+def _columns(links, d) -> tuple[dict[int, slice], int]:
+    """The columns of ``R`` of each other-side node that ``links`` reach, and ``R``'s width."""
+    widths = {o: d[o - 1] * (G.shape[1] - d[o - 1]) for node_links in links.values() for o, G in node_links}
+    starts = list(itertools.accumulate((widths[o] for o in sorted(widths)), initial=0))
+    return {o: slice(a, b) for o, a, b in zip(sorted(widths), starts, starts[1:])}, starts[-1]
+
+
+def _eliminate(links, d) -> tuple[int, np.ndarray]:
     """One side's variable blocks of the coefficient matrix, eliminated in closed form.
 
     ``links`` is ``Problem.by_rx`` (the decoder side) or
     ``Problem.by_tx`` (the precoder side: the decoder side of the
     reciprocal network, whose constraints are the originals
-    conjugate-transposed), ``d`` the stream counts, and ``columns`` the other
-    side's column layout: node ``o``'s variables start at ``columns[o - 1]``
-    and ``columns[-1]`` counts them all.  Up to row order, node ``n``'s rows of
-    its own columns are ``I_{d_n} (x) A_n^T``, with ``A_n = [G_no[d_n:, :d_o]]_o``
-    over its links ``G_no``, and no other rows touch its columns.  With
-    ``r_n = rank A_n`` and ``W_n`` an orthonormal basis of the complement of
+    conjugate-transposed), and ``d`` the stream counts.  Up to row order,
+    node ``n``'s rows of its own columns are ``I_{d_n} (x) A_n^T``, with
+    ``A_n = [G_no[d_n:, :d_o]]_o`` over its links ``G_no``, and no other rows
+    touch its columns.  With ``r_n = rank A_n`` and ``W_n`` an orthonormal basis of the complement of
     the range of ``A_n^T``, the rows ``W_n^H [kron(I_{d_o}, G_no[p, d_o:])]_o``
     over the streams ``p`` of each node form the reduced matrix ``R``: the
     projected precoder columns on the decoder side, and the complex conjugate
-    of the projected decoder columns on the precoder side.  Returns
+    of the projected decoder columns on the precoder side.  ``R`` has one
+    column per free variable of the other side's linked nodes, in node order:
+    ``d_o (a_o - d_o)`` for node ``o``, with ``a_o = G_no.shape[1]``.  Returns
     ``(sum_n d_n r_n, R)``: the coefficient matrix has rank
     ``sum_n d_n r_n + rank R``, so it has full row rank iff ``R`` does.
     """
-    eliminated = 0
-    blocks = [np.zeros((0, columns[-1]), dtype=np.complex128)]
+    columns, n_cols = _columns(links, d)
+    eliminated, blocks = 0, [np.zeros((0, n_cols), dtype=np.complex128)]
     for n, node_links in links.items():
         dn = d[n - 1]
         r, W = column_complement(np.hstack([G[dn:, : d[o - 1]] for o, G in node_links]).T)
         eliminated += dn * r
         Wh = W.conj().T
-        block = np.zeros((dn * Wh.shape[0], columns[-1]), dtype=np.complex128)
+        block = np.zeros((dn * Wh.shape[0], n_cols), dtype=np.complex128)
         q0 = 0
         for o, G in node_links:
-            do = d[o - 1]
-            c, width = columns[o - 1], do * (G.shape[1] - do)
+            do, cols = d[o - 1], columns[o]
             # row (p, w), column (q, m) holds Wh[w, q0 + q] * G[p, do + m]
-            block[:, c : c + width] = np.einsum(
-                "wq,pm->pwqm", Wh[:, q0 : q0 + do], G[:dn, do:]).reshape(len(block), width)
+            block[:, cols] = np.einsum(
+                "wq,pm->pwqm", Wh[:, q0 : q0 + do], G[:dn, do:]).reshape(block[:, cols].shape)
             q0 += do
         blocks.append(block)
     return eliminated, np.concatenate(blocks)
 
 
-def _reduced_shape(links, d, columns) -> tuple[int, int]:
+def _reduced_shape(links, d) -> tuple[int, int]:
     """Shape of the ``R`` that :func:`_eliminate` leaves, from the dimensions alone.
 
     Node ``n``'s links ``G_no`` have one row per antenna of ``n``, ``a_n``.
     For a generic channel ``rank A_n = min(a_n - d_n, sum_o d_o)``, so ``R``
-    has ``sum_n d_n (sum_o d_o - rank A_n)`` rows and one column per variable
-    of the other side.
+    has ``sum_n d_n (sum_o d_o - rank A_n) = sum_n d_n max(0, d_n + sum_o d_o - a_n)`` rows.
     """
-    rows = 0
-    for n, node_links in links.items():
-        dn, streams = d[n - 1], sum(d[o - 1] for o, _ in node_links)
-        rows += dn * (streams - min(len(node_links[0][1]) - dn, streams))
-    return rows, columns[-1]
+    rows = sum(d[n - 1] * max(0, d[n - 1] + sum(d[o - 1] for o, _ in node_links) - len(node_links[0][1]))
+               for n, node_links in links.items())
+    return rows, _columns(links, d)[1]
 
 
-def _svd_cost(side) -> int:
-    """Cost of decomposing the ``R`` that eliminating ``side`` leaves, ``min(r, c)^2 max(r, c)``."""
-    lo, hi = sorted(_reduced_shape(*side))
+def _svd_cost(links, d) -> int:
+    """Cost of decomposing the ``R`` that eliminating ``links``' side leaves, ``min(r, c)^2 max(r, c)``."""
+    lo, hi = sorted(_reduced_shape(links, d))
     return lo * lo * hi
-
-
-def _sides(problem: Problem):
-    """The arguments of :func:`_eliminate` for either side, decoder side first."""
-    cfg = problem.cfg
-    _, col_index, _, n_vars = _layout(cfg, problem.pairs)
-    v0 = col_index[("V", 1)]
-    decoders = [col_index[("U", k)] for k in range(1, cfg.K + 1)] + [v0]
-    precoders = [col_index[("V", j)] - v0 for j in range(1, cfg.n_tx + 1)] + [n_vars - v0]
-    return (problem.by_rx, cfg.d, precoders), (problem.by_tx, cfg.d, decoders)
 
 
 def build_jacobian(cfg: NetworkConfig, alignment, channel: Channel,
@@ -445,8 +440,10 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     else:
         if channel is None:
             channel = generate_channel(cfg, seed)
+        problem = Problem(cfg, pairs, channel)
         # min keeps the first of equal costs: the decoder side
-        eliminated, reduced = _eliminate(*min(_sides(Problem(cfg, pairs, channel)), key=_svd_cost))
+        links = min((problem.by_rx, problem.by_tx), key=lambda side: _svd_cost(side, cfg.d))
+        eliminated, reduced = _eliminate(links, cfg.d)
         rr = numerical_rank(reduced)
         rank = eliminated + rr.rank
         return FeasibilityReport(rank == n_constraints, n_constraints, n_variables, rank,

@@ -37,7 +37,7 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankResult:
     """Numerical rank of a matrix together with the evidence behind it.
 

@@ -123,7 +123,7 @@ class NetworkConfig:
         return self.K + self.J
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransceiverSet:
     """Decoders ``U[k-1]`` (``N_k x d_k``) and precoders ``V[j-1]`` (``M_j x d_j``).
 

@@ -15,7 +15,6 @@ from conftest import (
 from gia.feasibility import (
     _eliminate,
     _reduced_shape,
-    _sides,
     build_coefficient_matrix,
     build_jacobian,
     check_divisible_formula,
@@ -520,12 +519,25 @@ def full_rank(cfg, pairs, channel):
     return numerical_rank(build_coefficient_matrix(cfg, pairs, channel).matrix).rank
 
 
-DECODERS, PRECODERS = 0, 1  # indices into _sides(problem)
+DECODERS, PRECODERS = 0, 1  # indices into sides(problem)
+
+
+def sides(problem):
+    """The links of either side's elimination, decoder side first."""
+    return problem.by_rx, problem.by_tx
 
 
 def eliminated_rank(cfg, pairs, channel, side=DECODERS):
-    eliminated, reduced = _eliminate(*_sides(Problem(cfg, pairs, channel))[side])
+    eliminated, reduced = _eliminate(sides(Problem(cfg, pairs, channel))[side], cfg.d)
     return eliminated + numerical_rank(reduced).rank
+
+
+def linked_free_variables(cfg, pairs):
+    """Free variables of the linked transmitters and of the linked receivers:
+    the widths of the decoder side's and of the precoder side's ``R``."""
+    tx, rx = {j for _, j in pairs}, {k for k, _ in pairs}
+    return (sum(cfg.d[j - 1] * (cfg.M[j - 1] - cfg.d[j - 1]) for j in tx),
+            sum(cfg.d[k - 1] * (cfg.N[k - 1] - cfg.d[k - 1]) for k in rx))
 
 
 def svd_cost(shape):
@@ -556,6 +568,29 @@ def random_elimination_instance(rng, max_J=2):
     return cfg, pairs, scaled
 
 
+def with_unlinked_jammer(rng, cfg, pairs, channel):
+    """The instance with a jammer appended that has free variables and no
+    aligned pair, its links fresh; also returns the free variables added."""
+    dJ = int(rng.integers(1, 4))
+    MJ = int(rng.integers(dJ + 1, dJ + 5))
+    grown = NetworkConfig(K=cfg.K, J=cfg.J + 1, M=cfg.M + (MJ,), N=cfg.N, d=cfg.d + (dJ,))
+    return grown, pairs, {**generate_channel(grown, int(rng.integers(2**32))), **channel}, dJ * (MJ - dJ)
+
+
+def with_unlinked_pair(rng, cfg, pairs, channel):
+    """The instance with a (K+1)-th pair inserted before the jammers, neither
+    node aligned, the jammers shifted by one and the new links fresh; also
+    returns the free variables added."""
+    K, dn = cfg.K, int(rng.integers(1, 4))
+    Mn, Nn = (int(rng.integers(dn + 1, dn + 5)) for _ in range(2))
+    grown = NetworkConfig(K=K + 1, J=cfg.J, M=cfg.M[:K] + (Mn,) + cfg.M[K:], N=cfg.N + (Nn,),
+                          d=cfg.d[:K] + (dn,) + cfg.d[K:])
+    shift = {j: j + (j > K) for j in range(1, cfg.n_tx + 1)}
+    moved = {(k, shift[j]): H for (k, j), H in channel.items()}
+    return (grown, tuple((k, shift[j]) for k, j in pairs),
+            {**generate_channel(grown, int(rng.integers(2**32))), **moved}, dn * (Mn - dn + Nn - dn))
+
+
 class TestDecoderElimination:
     """The rank test eliminates one side's variable blocks in closed form, the
     side that leaves the smaller reduced matrix; the whole coefficient matrix
@@ -572,11 +607,13 @@ class TestDecoderElimination:
             hall = build_coefficient_matrix(cfg, pairs, channel)
             n_constraints, rank = hall.n_constraints, numerical_rank(hall.matrix).rank
             costs, cutoffs = [], []
-            for side in _sides(Problem(cfg, pairs, channel)):
-                eliminated, reduced = _eliminate(*side)
+            widths = linked_free_variables(cfg, pairs)
+            for links, width in zip(sides(Problem(cfg, pairs, channel)), widths):
+                eliminated, reduced = _eliminate(links, cfg.d)
                 rr = numerical_rank(reduced)
                 assert eliminated + rr.rank == rank, (cfg, pairs)
-                assert _reduced_shape(*side) == reduced.shape, (cfg, pairs)
+                assert _reduced_shape(links, cfg.d) == reduced.shape, (cfg, pairs)
+                assert reduced.shape[1] == width, (cfg, pairs)
                 costs.append(svd_cost(reduced.shape))
                 cutoffs.append(rr.tolerance_used)
             report = feasibility_check(cfg, pairs, channel)
@@ -623,7 +660,7 @@ class TestDecoderElimination:
                         q0 += dj
                     rows.append(row)
         projected = np.array(rows) @ hall.matrix
-        _, reduced = _eliminate(*_sides(problem)[DECODERS])
+        _, reduced = _eliminate(problem.by_rx, cfg.d)
         v0 = hall.col_index[("V", 1)]
         assert reduced.shape == (len(rows), hall.n_variables - v0) and len(rows) > 0
         np.testing.assert_allclose(projected[:, :v0], 0, atol=1e-12)
@@ -657,7 +694,7 @@ class TestDecoderElimination:
                         p0 += dk
                     rows.append(row)
         projected = np.array(rows) @ hall.matrix
-        _, reduced = _eliminate(*_sides(problem)[PRECODERS])
+        _, reduced = _eliminate(problem.by_tx, cfg.d)
         v0 = hall.col_index[("V", 1)]
         assert reduced.shape == (len(rows), v0) and len(rows) > 0
         np.testing.assert_allclose(projected[:, v0:], 0, atol=1e-12)
@@ -670,9 +707,10 @@ class TestDecoderElimination:
         # every receiver's decoder block covers its rows: R has none
         (NetworkConfig(K=2, J=0, M=(2, 3), N=(3, 3), d=(1, 2)), ((1, 2), (2, 1)), (0, 3),
          "hall_rank"),
-        # receiver 2 has no aligned pair
+        # receiver 2 and transmitter 3 have no aligned pair: R has no columns
+        # for transmitter 3's three free variables
         (NetworkConfig(K=3, J=1, M=(4, 3, 4, 3), N=(3, 4, 4), d=(1, 2, 1, 1)),
-         ((1, 2), (1, 4), (3, 1), (3, 2), (3, 4)), (2, 10), "hall_rank"),
+         ((1, 2), (1, 4), (3, 1), (3, 2), (3, 4)), (2, 7), "hall_rank"),
         # no free precoder columns, and R has no rows either
         (NetworkConfig(K=2, J=0, M=(1, 2), N=(4, 4), d=(1, 2)), ((1, 2), (2, 1)), (0, 0),
          "hall_rank"),
@@ -684,14 +722,14 @@ class TestDecoderElimination:
     def test_edge_cases(self, cfg, pairs, reduced_shape, method):
         pairs = alignment_all(cfg) if pairs is None else pairs
         channel = generate_channel(cfg, 0)
-        sides = _sides(Problem(cfg, pairs, channel))
-        _, reduced = _eliminate(*sides[DECODERS])
+        both = sides(Problem(cfg, pairs, channel))
+        _, reduced = _eliminate(both[DECODERS], cfg.d)
         assert reduced.shape == reduced_shape
         rank = full_rank(cfg, pairs, channel)
         assert eliminated_rank(cfg, pairs, channel) == rank
         assert eliminated_rank(cfg, pairs, channel, PRECODERS) == rank
-        shapes = [_eliminate(*side)[1].shape for side in sides]
-        assert [_reduced_shape(*side) for side in sides] == shapes
+        shapes = [_eliminate(links, cfg.d)[1].shape for links in both]
+        assert [_reduced_shape(links, cfg.d) for links in both] == shapes
         report = feasibility_check(cfg, pairs, channel)
         assert report.method == method
         if method == "hall_rank":
@@ -700,6 +738,29 @@ class TestDecoderElimination:
             # the tolerance is the decomposed matrix's cutoff, 0.0 when it is empty
             decomposed = min(shapes, key=svd_cost)
             assert (report.tolerance == 0.0) == (math.prod(decomposed) == 0)
+
+    @pytest.mark.parametrize("grow", [with_unlinked_jammer, with_unlinked_pair],
+                             ids=["jammer", "pair"])
+    def test_unlinked_node_changes_nothing(self, grow):
+        # A node without an aligned pair adds free variables and no
+        # constraint: it is in neither side's links, so R, and with it the
+        # rank and the cutoff, stay as they were.
+        rng = np.random.default_rng(5)
+        compared = 0
+        for _ in range(400):
+            cfg, pairs, _ = random_elimination_instance(rng)
+            channel = generate_channel(cfg, int(rng.integers(2**32)))
+            report = feasibility_check(cfg, pairs, channel)
+            grown, grown_pairs, grown_channel, added = grow(rng, cfg, pairs, channel)
+            other = feasibility_check(grown, grown_pairs, grown_channel)
+            if report.method != "hall_rank" or other.method != "hall_rank":
+                continue
+            assert (other.feasible, other.n_constraints, other.rank) == (
+                report.feasible, report.n_constraints, report.rank), (cfg, pairs)
+            assert other.n_variables == report.n_variables + added > report.n_variables
+            assert other.tolerance == pytest.approx(report.tolerance, rel=1e-12), (cfg, pairs)
+            compared += 1
+        assert compared >= 100
 
     @pytest.mark.parametrize("cfg", [CONFIG_SYM, CONFIG_ASYM, CONFIG_INFEASIBLE],
                              ids=["config1", "config2", "config3"])
@@ -779,41 +840,47 @@ class TestRelations:
             if report.method == "hall_rank":
                 seen["hall_rank"] += 1
                 seen["feasible" if report.feasible else "infeasible"] += 1
-                costs = [svd_cost(_reduced_shape(*side))
-                         for side in _sides(Problem(cfg, pairs, channel))]
+                costs = [svd_cost(_reduced_shape(links, cfg.d))
+                         for links in sides(Problem(cfg, pairs, channel))]
                 seen["precoder side"] += costs[PRECODERS] < costs[DECODERS]
             seen["proper_fail"] += report.method == "proper_fail"
             seen["partial"] += pairs != alignment_all(cfg)
         assert min(seen.values()) >= 5, seen
 
 
-# to_line() of the reference networks at x1-x3 and of two networks that
-# reach the rank test with equal costs on both sides (the decoder side is
-# kept) and with the precoder side cheaper, on channel seed 0.  A change of
-# side changes the decomposed matrix and with it the tolerance.
+# to_line() on channel seed 0 of the reference networks at x1-x3, of two
+# networks that reach the rank test with equal costs on both sides (the
+# decoder side is kept) and with the precoder side cheaper, and of a partial
+# alignment set that leaves transmitter 3 and its four free variables
+# unlinked on the decomposed (precoder) columns.  A change of side changes
+# the decomposed matrix and with it the tolerance; so would a column for an
+# unlinked node.  ``None`` aligns every cross pair.
 GOLDEN = [
-    (CONFIG_SYM, 1, "true,symmetric_formula,54,54,-1,0.0"),
-    (CONFIG_SYM, 2, "true,symmetric_formula,216,216,-1,0.0"),
-    (CONFIG_SYM, 3, "true,symmetric_formula,486,486,-1,0.0"),
-    (CONFIG_ASYM, 1, "true,divisible_formula,54,54,-1,0.0"),
-    (CONFIG_ASYM, 2, "true,divisible_formula,216,216,-1,0.0"),
-    (CONFIG_ASYM, 3, "true,divisible_formula,486,486,-1,0.0"),
-    (CONFIG_INFEASIBLE, 1, "false,hall_rank,54,54,52,4.2058327322722375e-09"),
-    (CONFIG_INFEASIBLE, 2, "false,hall_rank,216,216,208,2.779061200690992e-08"),
-    (CONFIG_INFEASIBLE, 3, "false,hall_rank,486,486,468,9.356886860997335e-08"),
-    (NetworkConfig(K=2, J=0, M=(3, 4), N=(3, 4), d=(2, 2)), 1,
+    (CONFIG_SYM, 1, None, "true,symmetric_formula,54,54,-1,0.0"),
+    (CONFIG_SYM, 2, None, "true,symmetric_formula,216,216,-1,0.0"),
+    (CONFIG_SYM, 3, None, "true,symmetric_formula,486,486,-1,0.0"),
+    (CONFIG_ASYM, 1, None, "true,divisible_formula,54,54,-1,0.0"),
+    (CONFIG_ASYM, 2, None, "true,divisible_formula,216,216,-1,0.0"),
+    (CONFIG_ASYM, 3, None, "true,divisible_formula,486,486,-1,0.0"),
+    (CONFIG_INFEASIBLE, 1, None, "false,hall_rank,54,54,52,4.2058327322722375e-09"),
+    (CONFIG_INFEASIBLE, 2, None, "false,hall_rank,216,216,208,2.779061200690992e-08"),
+    (CONFIG_INFEASIBLE, 3, None, "false,hall_rank,486,486,468,9.356886860997335e-08"),
+    (NetworkConfig(K=2, J=0, M=(3, 4), N=(3, 4), d=(2, 2)), 1, None,
      "true,hall_rank,8,12,8,1.0804032669143438e-09"),
-    (NetworkConfig(K=2, J=0, M=(5, 1), N=(3, 1), d=(2, 1)), 1,
+    (NetworkConfig(K=2, J=0, M=(5, 1), N=(3, 1), d=(2, 1)), 1, None,
      "true,hall_rank,4,8,4,2.9153958524105767e-10"),
+    (NetworkConfig(K=3, J=0, M=(2, 4, 5), N=(4, 3, 2), d=(1, 2, 1)), 1,
+     ((1, 2), (2, 1), (3, 1), (3, 2)), "true,hall_rank,7,15,7,7.588769778149881e-10"),
 ]
 
 
-@pytest.mark.parametrize("cfg, times, line", GOLDEN, ids=[
+@pytest.mark.parametrize("cfg, times, pairs, line", GOLDEN, ids=[
     "config1-x1", "config1-x2", "config1-x3", "config2-x1", "config2-x2", "config2-x3",
-    "config3-x1", "config3-x2", "config3-x3", "tie", "precoder-side"])
-def test_golden_record(cfg, times, line):
+    "config3-x1", "config3-x2", "config3-x3", "tie", "precoder-side", "unlinked-transmitter"])
+def test_golden_record(cfg, times, pairs, line):
     cfg = scale_config(cfg, times)
-    fields = feasibility_check(cfg, alignment_all(cfg), seed=0).to_line().split(",")
+    pairs = alignment_all(cfg) if pairs is None else pairs
+    fields = feasibility_check(cfg, pairs, seed=0).to_line().split(",")
     golden = line.split(",")
     assert fields[:5] == golden[:5]
     # the last digits of the cutoff follow the BLAS thread count

@@ -228,3 +228,58 @@ def test_stray_finiteness_check_detected():
 
 def test_finiteness_checked_only_at_boundary():
     assert stray_finiteness_checks({p.stem: p.read_text(encoding="utf-8") for p in MODULES}) == []
+
+
+def array_dataclasses_with_eq(sources: dict[str, str]) -> list[str]:
+    """Dataclasses that keep the generated ``__eq__`` and annotate a field
+    with ``np.ndarray``: directly, inside another type, or through a
+    top-level alias of any module in ``sources``.
+
+    That ``__eq__`` compares the arrays elementwise, so ``==`` and ``in``
+    raise on two equal-shaped values, and the class is unhashable.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    aliases: set[str] = set()
+
+    def holds_array(node) -> bool:
+        return any((isinstance(n, ast.Attribute) and n.attr == "ndarray")
+                   or (isinstance(n, ast.Name) and n.id in aliases) for n in ast.walk(node))
+
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and holds_array(node.value):
+                aliases.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                target = call.func if call else dec
+                if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                    continue
+                eq = next((kw.value for kw in (call.keywords if call else []) if kw.arg == "eq"), None)
+                if isinstance(eq, ast.Constant) and eq.value is False:
+                    continue
+                if any(isinstance(field, ast.AnnAssign) and holds_array(field.annotation)
+                       for field in node.body):
+                    found.append(f"{module} line {node.lineno}: {node.name}")
+    return found
+
+
+def test_array_dataclass_with_eq_detected():
+    sources = {"a": "import numpy as np\nChannel = dict[int, np.ndarray]\n",
+               "b": ("import dataclasses\nfrom dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\nclass A:\n    m: np.ndarray\n"
+                     "@dataclass(frozen=True, eq=False)\nclass B:\n    m: np.ndarray\n"
+                     "@dataclasses.dataclass\nclass C:\n    c: Channel\n"
+                     "@dataclass\nclass D:\n    n: int\n    t: tuple[np.ndarray, ...] = ()\n"
+                     "@dataclass(eq=True)\nclass E:\n    n: int\n"
+                     "class F:\n    m: np.ndarray\n")}
+    assert array_dataclasses_with_eq(sources) == ["b line 4: A", "b line 10: C", "b line 13: D"]
+
+
+def test_no_array_dataclass_with_eq():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert array_dataclasses_with_eq(sources) == []

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIG_ASYM, CONFIG_INFEASIBLE, CONFIG_SYM
-from gia.feasibility import feasibility_check
+from gia.feasibility import build_coefficient_matrix, feasibility_check
+from gia.linalg import numerical_rank
 from gia.network import (
     ConfigError,
     ConfigParseError,
@@ -157,6 +158,19 @@ class TestTransceiverSet:
         np.testing.assert_array_equal(ts.V[0], np.eye(2))
         np.testing.assert_array_equal(ts.V[1], [[1], [0]])
         assert all(x.dtype == np.complex128 for x in ts.U + ts.V)
+
+    def test_equality_is_identity(self):
+        # Values that hold arrays compare and hash by identity; the generated
+        # __eq__ raised on the arrays' elementwise comparison.
+        cfg = NetworkConfig(K=2, J=0, M=(3, 3), N=(3, 3), d=(1, 1))
+        channel = generate_channel(cfg, 0)
+        values = [(TransceiverSet.identity(cfg), TransceiverSet.identity(cfg)),
+                  (numerical_rank(channel[1, 2]), numerical_rank(channel[1, 2])),
+                  (build_coefficient_matrix(cfg, alignment_all(cfg), channel),
+                   build_coefficient_matrix(cfg, alignment_all(cfg), channel))]
+        for a, b in values:
+            assert a == a and a != b and a in [b, a] and b not in [a]
+            assert len({a, b, a}) == 2
 
 
 class TestScaleConfig:
