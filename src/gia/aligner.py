@@ -335,8 +335,7 @@ def verify_solution(cfg: NetworkConfig, alignment, channel: Channel,
     failures: list[str] = []
     max_res = 0.0
     for R in _full_residuals(problem, ts):
-        if R.size:
-            max_res = max(max_res, float(np.abs(R).max()))
+        max_res = max(max_res, float(np.abs(R).max()))
     if max_res > tol:
         failures.append(f"max residual {max_res:.3e} exceeds tolerance {tol:.3e}")
     for k in range(1, cfg.K + 1):

@@ -13,9 +13,9 @@ counts toward the rank iff it exceeds
 ``DEFAULT_REL_TOL * sigma_max * max(rows, cols)``.  No caller can override
 it; every rank decision goes through here.
 
-Zero-dimensional matrices (0 rows or 0 columns) are first class: they occur
-whenever a node has no free transceiver entries (``d_k == N_k`` or
-``d_j == M_j``) and behave as the identities of block composition.
+Empty matrices, as from a node without free entries (``d_k == N_k`` or
+``d_j == M_j``), take the general path: numpy's SVD gives them empty factors
+and, with no columns, the identity ``U``; an empty spectrum's cutoff is 0.0.
 """
 
 from __future__ import annotations
@@ -57,16 +57,14 @@ class RankResult:
 
 
 def _cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
-    # callers return early on an empty matrix, so ``s`` is never empty here
-    return DEFAULT_REL_TOL * float(s[0]) * max(shape)
+    """The shared cutoff for the spectrum ``s`` of a ``shape`` matrix; 0.0 if ``s`` is empty."""
+    return DEFAULT_REL_TOL * float(s[0]) * max(shape) if s.size else 0.0
 
 
 def numerical_rank(m) -> RankResult:
     """Numerical rank of the finite 2-D matrix ``m`` via SVD with the shared
     scale-invariant cutoff ``DEFAULT_REL_TOL * sigma_max * max(rows, cols)``."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.size == 0:
-        return RankResult(0, np.zeros(0), 0.0)
     s = np.linalg.svd(a, compute_uv=False)
     tol = _cutoff(s, a.shape)
     return RankResult(int(np.count_nonzero(s > tol)), s, tol)
@@ -78,12 +76,10 @@ def column_complement(m) -> tuple[int, np.ndarray]:
 
     The rank is decided by the shared cutoff, as in :func:`numerical_rank`;
     the basis is the ``rows x (rows - rank)`` block of left singular vectors
-    past it, so ``basis^H m`` vanishes to within the cutoff.  A matrix with
-    no entries has rank 0 and the identity as its basis.
+    past it, so ``basis^H m`` vanishes to within the cutoff.  An empty matrix
+    has rank 0, and the SVD gives it the identity as its basis.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.size == 0:
-        return 0, np.eye(a.shape[0], dtype=np.complex128)
     u, s, _ = np.linalg.svd(a)
     rank = int(np.count_nonzero(s > _cutoff(s, a.shape)))
     return rank, u[:, rank:]
@@ -103,9 +99,6 @@ def pseudo_inverse(m) -> np.ndarray:
         identities to within roundoff.
     """
     a = np.asarray(m, dtype=np.complex128)
-    rows, cols = a.shape
-    if a.size == 0:
-        return np.zeros((cols, rows), dtype=np.complex128)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     tol = _cutoff(s, a.shape)
     inv = np.zeros_like(s)

@@ -166,16 +166,23 @@ def canonical_alignment(cfg: NetworkConfig, pairs) -> tuple[Pair, ...]:
     The canonical order fixes the row-block order of the coefficient matrix,
     so every consumer normalizes through here.
     """
-    out = sorted({(_index(k, "alignment pair entry"), _index(j, "alignment pair entry"))
-                  for (k, j) in pairs})
-    for k, j in out:
+    if not hasattr(pairs, "__iter__"):
+        raise ConfigError(f"alignment must be an iterable of (k, j) pairs, got {pairs!r}")
+    out = set()
+    for entry in pairs:
+        try:
+            k, j = entry
+        except (TypeError, ValueError):
+            raise ConfigError(f"alignment entry must be a (k, j) pair, got {entry!r}") from None
+        k, j = _index(k, "alignment pair entry"), _index(j, "alignment pair entry")
         if not 1 <= k <= cfg.K:
             raise ConfigError(f"alignment pair ({k},{j}): receiver index out of range 1..{cfg.K}")
         if not 1 <= j <= cfg.n_tx:
             raise ConfigError(f"alignment pair ({k},{j}): transmitter index out of range 1..{cfg.n_tx}")
         if k == j:
             raise ConfigError(f"alignment pair ({k},{j}): direct links cannot be aligned")
-    return tuple(out)
+        out.add((k, j))
+    return tuple(sorted(out))
 
 
 def scale_config(cfg: NetworkConfig, c: int) -> NetworkConfig:

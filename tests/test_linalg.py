@@ -19,6 +19,15 @@ def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
+def empty_matrices():
+    """Every shape ``(r, 0)`` and ``(0, c)`` with ``r, c <= 11``, as a real array
+    and as the transposed view of a complex one."""
+    shapes = [(r, 0) for r in range(12)] + [(0, c) for c in range(1, 12)]
+    for shape in shapes:
+        yield np.zeros(shape)
+        yield np.zeros(shape[::-1], dtype=np.complex128).T
+
+
 class TestNumericalRank:
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 5))).rank == 0
@@ -47,9 +56,12 @@ class TestNumericalRank:
         assert res.tolerance_used == pytest.approx(DEFAULT_REL_TOL * sv[0] * 6)
 
     def test_zero_dimensional(self):
-        res = numerical_rank(np.zeros((0, 3)))
-        assert res.rank == 0
-        assert res.singular_values.size == 0
+        for a in empty_matrices():
+            res = numerical_rank(a)
+            assert res.rank == 0
+            assert res.singular_values.dtype == np.float64
+            assert res.singular_values.shape == (0,)
+            assert res.tolerance_used == 0.0
 
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -83,12 +95,12 @@ class TestColumnComplement:
         np.testing.assert_allclose(np.abs(basis[:, 0]), np.array([2, 1]) / np.sqrt(5), atol=1e-12)
 
     def test_zero_dimensional(self):
-        rank, basis = column_complement(np.zeros((0, 3)))
-        assert rank == 0 and basis.shape == (0, 0)
-        # no columns: the complement is everything
-        rank, basis = column_complement(np.zeros((4, 0)))
-        assert rank == 0
-        np.testing.assert_array_equal(basis, np.eye(4))
+        # the complement is everything: the exact identity, (0, 0) without rows
+        for a in empty_matrices():
+            rank, basis = column_complement(a)
+            assert rank == 0
+            np.testing.assert_array_equal(
+                basis, np.eye(a.shape[0], dtype=np.complex128), strict=True)
 
 
 class TestPseudoInverse:
@@ -118,8 +130,9 @@ class TestPseudoInverse:
         np.testing.assert_allclose(a @ x @ a, a, atol=1e-12)
 
     def test_zero_dimensional(self):
-        assert pseudo_inverse(np.zeros((0, 3))).shape == (3, 0)
-        assert pseudo_inverse(np.zeros((4, 0))).shape == (0, 4)
+        for a in empty_matrices():
+            np.testing.assert_array_equal(
+                pseudo_inverse(a), np.zeros(a.shape[::-1], dtype=np.complex128), strict=True)
 
     @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

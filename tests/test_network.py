@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,19 @@ class TestAlignment:
         # a fractional index is not truncated into range
         with pytest.raises(ConfigError, match="alignment pair entry must be an integer"):
             canonical_alignment(CONFIG_SYM, [(1.9, 2)])
+
+    @pytest.mark.parametrize("alignment, named", [
+        ([1, 2], "1"), ([(1, 2, 3)], "(1, 2, 3)"), ([None], "None"), (5, "5")],
+        ids=["int-entry", "triple", "None-entry", "not-iterable"])
+    def test_malformed_alignment_rejected(self, alignment, named):
+        # an entry that is not a (k, j) pair, or an alignment that is not
+        # iterable, is a ConfigError naming it on every path in
+        channel = generate_channel(CONFIG_SYM, 0)
+        for call in (lambda: canonical_alignment(CONFIG_SYM, alignment),
+                     lambda: Problem(CONFIG_SYM, alignment, channel),
+                     lambda: feasibility_check(CONFIG_SYM, alignment)):
+            with pytest.raises(ConfigError, match=rf"got {re.escape(named)}$"):
+                call()
 
 
 class TestProblem:
