@@ -66,7 +66,6 @@ from .network import (
     TransceiverSet,
     _check_seed,
     canonical_alignment,
-    check_channel,
     check_transceivers,
     free_shapes,
     generate_channel,
@@ -291,6 +290,9 @@ def check_proper(cfg: NetworkConfig, alignment):
     subset (its receivers, its transmitters of positive need) makes the flow
     short, and a short flow's last search reaches only transmitters of
     positive need, so its minimum cut names pairs that violate the condition.
+    The nodes that search reaches are the source side of the smallest minimum
+    cut, the same for every maximum flow, so the search order does not change
+    the subset named.
 
     Returns
     -------
@@ -300,32 +302,24 @@ def check_proper(cfg: NetworkConfig, alignment):
     pairs = canonical_alignment(cfg, alignment)
     rx, tx = free_shapes(cfg)
     sink = cfg.n_tx + cfg.K + 1  # source 0, transmitter j at j, receiver k at n_tx + k
-    residual: dict[int, dict[int, int]] = {0: {}}
-
-    def edge(a, b, cap):
-        residual.setdefault(a, {})[b] = cap
-        residual.setdefault(b, {}).setdefault(a, 0)
-
-    need: dict[int, int] = {}
+    residual = [[0] * (sink + 1) for _ in range(sink + 1)]
     for k, j in pairs:
-        need[j] = need.get(j, 0) + cfg.d[k - 1] * cfg.d[j - 1]
-        edge(j, cfg.n_tx + k, cfg.d[k - 1] * cfg.d[j - 1])
-        edge(cfg.n_tx + k, sink, math.prod(rx[k - 1]))
-    for j in need:
-        need[j] = max(0, need[j] - math.prod(tx[j - 1]))
-        edge(0, j, need[j])
+        residual[0][j] += cfg.d[k - 1] * cfg.d[j - 1]
+        residual[j][cfg.n_tx + k] = cfg.d[k - 1] * cfg.d[j - 1]
+        residual[cfg.n_tx + k][sink] = math.prod(rx[k - 1])
+    for j in range(1, cfg.n_tx + 1):
+        residual[0][j] = max(0, residual[0][j] - math.prod(tx[j - 1]))
 
-    flow = 0
     while True:  # Edmonds-Karp: augment along shortest residual paths
-        parent = {0: 0}
+        parent = [0] + [-1] * sink
         queue = deque([0])
-        while queue and sink not in parent:
+        while queue and parent[sink] < 0:
             a = queue.popleft()
-            for b, cap in residual[a].items():
-                if cap > 0 and b not in parent:
+            for b, cap in enumerate(residual[a]):
+                if cap > 0 and parent[b] < 0:
                     parent[b] = a
                     queue.append(b)
-        if sink not in parent:
+        if parent[sink] < 0:
             break
         path = []
         b = sink
@@ -336,10 +330,9 @@ def check_proper(cfg: NetworkConfig, alignment):
         for a, b in path:
             residual[a][b] -= push
             residual[b][a] += push
-        flow += push
-    if flow == sum(need.values()):
+    if not any(residual[0]):  # every need carried
         return True, None
-    return False, tuple((k, j) for k, j in pairs if j in parent and cfg.n_tx + k in parent)
+    return False, tuple((k, j) for k, j in pairs if parent[j] >= 0 and parent[cfg.n_tx + k] >= 0)
 
 
 def check_symmetric_formula(cfg: NetworkConfig, alignment):
@@ -363,22 +356,17 @@ def check_symmetric_formula(cfg: NetworkConfig, alignment):
     if min(M, N) < 2 * d:
         return False, None
 
-    rx_deg = {k: 0 for k in range(1, cfg.K + 1)}
-    tx_deg = {j: 0 for j in range(1, cfg.K + 1)}
-    jam_load = {j: 0 for j in range(cfg.K + 1, cfg.n_tx + 1)}
+    degree = [0] * (cfg.n_tx + cfg.K + 1)  # transmitter j at j, receiver k at n_tx + k
     for k, j in pairs:
-        if j <= cfg.K:
-            rx_deg[k] += 1
-            tx_deg[j] += 1
-        else:
-            jam_load[j] += 1
-    degrees = set(rx_deg.values()) | set(tx_deg.values())
+        degree[j] += 1
+        if j <= cfg.K:  # a jammer's pairs load only the jammer
+            degree[cfg.n_tx + k] += 1
+    degrees = set(degree[1 : cfg.K + 1] + degree[cfg.n_tx + 1 :])
     if len(degrees) != 1:
         return False, None
     L = degrees.pop()
-    for j, load in jam_load.items():
-        if load > (cfg.M[j - 1] - cfg.d[j - 1]) // d:
-            return False, None
+    if any(degree[j] > (cfg.M[j - 1] - cfg.d[j - 1]) // d for j in range(cfg.K + 1, cfg.n_tx + 1)):
+        return False, None
     return True, M + N - (L + 2) * d >= 0
 
 
@@ -422,12 +410,12 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     Because the verdict depends only on the configuration and alignment set
     (not the channel draw), a single random channel is generated from
     ``seed`` when none is supplied.  The seed and a supplied channel are
-    validated even when a fast path decides.
+    validated even when a fast path decides; a supplied channel is checked
+    once, by the :class:`~gia.network.Problem` the rank test decides on.
     """
     seed = _check_seed(seed)
     pairs = canonical_alignment(cfg, alignment)
-    if channel is not None:
-        check_channel(cfg, channel)
+    problem = None if channel is None else Problem(cfg, pairs, channel)
 
     _, _, n_constraints, n_variables = _layout(cfg, pairs)
     proper, _ = check_proper(cfg, pairs)
@@ -438,9 +426,7 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     elif _divisible(cfg):
         method = "divisible_formula"
     else:
-        if channel is None:
-            channel = generate_channel(cfg, seed)
-        problem = Problem(cfg, pairs, channel)
+        problem = problem or Problem(cfg, pairs, generate_channel(cfg, seed))
         # min keeps the first of equal costs: the decoder side
         links = min((problem.by_rx, problem.by_tx), key=lambda side: _svd_cost(side, cfg.d))
         eliminated, reduced = _eliminate(links, cfg.d)

@@ -344,7 +344,7 @@ def _parse_int(text: str, lineno: int, key: str) -> int:
 
 
 def _parse_int_list(text: str, lineno: int, key: str) -> tuple[int, ...]:
-    items = [t for t in text.split(",")]
+    items = text.split(",")
     if len(items) == 1 and not items[0].strip():
         raise ConfigParseError(f"line {lineno}: key '{key}' expects a comma-separated integer list")
     return tuple(_parse_int(t, lineno, key) for t in items)
@@ -388,7 +388,6 @@ def load_config(path):
     )
 
     lineno, align_text = raw["alignment"]
-    align_text = align_text.strip()
     if align_text == "all":
         pairs = alignment_all(cfg)
     elif align_text == "none":

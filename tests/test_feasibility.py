@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from gia.network import (
     TransceiverSet,
     _complex_normal,
     alignment_all,
+    check_channel,
     generate_channel,
     scale_config,
 )
@@ -295,6 +298,43 @@ class TestCheckProper:
         assert report.feasible == rank_feasible(cfg, pairs, channel)
 
 
+    def test_names_the_smallest_minimum_cut(self):
+        # Every cut puts transmitters A and receivers B on the source side;
+        # the pairs named lie between the A and B that all minimum cuts share,
+        # so the subset does not depend on the order the flow searches in.
+        rng = np.random.default_rng(28)
+        improper = with_jammer = several_minimum_cuts = 0
+        for _ in range(300):
+            K = int(rng.integers(2, 4))
+            J = int(rng.integers(0, 3))
+            d = tuple(int(rng.integers(1, 4)) for _ in range(K + J))
+            M = tuple(int(rng.integers(dj, 8)) for dj in d)
+            N = tuple(int(rng.integers(dk, 8)) for dk in d[:K])
+            cfg = NetworkConfig(K=K, J=J, M=M, N=N, d=d)
+            pairs = random_alignment(rng, cfg)
+            c = {(k, j): d[k - 1] * d[j - 1] for k, j in pairs}
+            need = {j: max(0, sum(c[k, i] for k, i in pairs if i == j) - d[j - 1] * (M[j - 1] - d[j - 1]))
+                    for j in range(1, cfg.n_tx + 1)}
+            cuts = {}
+            for A in itertools.product((False, True), repeat=cfg.n_tx):
+                for B in itertools.product((False, True), repeat=K):
+                    cuts[A, B] = (sum(need[j] for j in need if not A[j - 1])
+                                  + sum(c[k, j] for k, j in pairs if A[j - 1] and not B[k - 1])
+                                  + sum(d[k - 1] * (N[k - 1] - d[k - 1]) for k in range(1, K + 1) if B[k - 1]))
+            least = min(cuts.values())
+            minimum = [cut for cut, capacity in cuts.items() if capacity == least]
+            A = [all(a[i] for a, _ in minimum) for i in range(cfg.n_tx)]
+            B = [all(b[i] for _, b in minimum) for i in range(K)]
+            ok, violating = check_proper(cfg, pairs)
+            assert ok == (least == sum(need.values()))
+            assert set(violating or ()) == {(k, j) for k, j in pairs if A[j - 1] and B[k - 1]}
+            if not ok:
+                improper += 1
+                with_jammer += any(j > K for _, j in violating)
+                several_minimum_cuts += len(minimum) > 1
+        assert improper >= 50 and with_jammer > 0 and several_minimum_cuts > 0
+
+
 class TestSymmetricFormula:
     def test_classic_three_user(self):
         cfg = NetworkConfig(K=3, J=0, M=(2, 2, 2), N=(2, 2, 2), d=(1, 1, 1))
@@ -437,6 +477,33 @@ class TestFeasibilityCheck:
         for channel in ({}, nan_link):
             with pytest.raises(ConfigError):
                 feasibility_check(cfg, pairs, channel)
+
+    @pytest.mark.parametrize("cfg, pairs, method", [
+        (CONFIG_SYM, alignment_all(CONFIG_SYM), "symmetric_formula"),
+        (CONFIG_ASYM, alignment_all(CONFIG_ASYM), "divisible_formula"),
+        (NetworkConfig(K=2, J=0, M=(1, 3), N=(3, 1), d=(1, 1)), ((2, 1),), "proper_fail"),
+        (CONFIG_INFEASIBLE, alignment_all(CONFIG_INFEASIBLE), "hall_rank"),
+    ], ids=["symmetric", "divisible", "improper", "rank-test"])
+    def test_supplied_channel_checked_once(self, monkeypatch, cfg, pairs, method):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_channel(*args)
+
+        for name, module in list(sys.modules.items()):  # every binding in the package
+            if name.split(".")[0] == "gia" and getattr(module, "check_channel", None) is check_channel:
+                monkeypatch.setattr(module, "check_channel", counted)
+        channel = generate_channel(cfg, 0)
+        assert feasibility_check(cfg, pairs, channel).method == method
+        assert len(calls) == 1
+        bad = [{**channel, (1, 2): channel[1, 2][:, 1:]}, {**channel, (1, 2): channel[1, 2].tolist()},
+               {k: v for k, v in channel.items() if k != (2, 1)}, {**channel, (2, 1): channel[2, 1] * np.inf}]
+        for link in bad:
+            with pytest.raises(ConfigError) as expected:
+                check_channel(cfg, link)
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(expected.value))}$"):
+                feasibility_check(cfg, pairs, link)
 
     def test_fast_paths_agree_with_rank_test(self):
         rng = np.random.default_rng(77)
