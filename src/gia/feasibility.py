@@ -168,11 +168,13 @@ def _jacobian(problem: Problem, ts: TransceiverSet) -> CoefficientMatrix:
         H = problem.channel[(k, j)]
         A = H[dk:] @ ts.V[j - 1]
         C = ts.U[k - 1].conj().T @ H[:, dj:]
-        bu = np.kron(np.eye(dk), A.T)
-        bv = np.vstack([np.kron(np.eye(dj), C[p : p + 1, :]) for p in range(dk)])
         r, cu, cv = row_index[(k, j)], col_index[("U", k)], col_index[("V", j)]
-        mat[r : r + bu.shape[0], cu : cu + bu.shape[1]] = bu
-        mat[r : r + bv.shape[0], cv : cv + bv.shape[1]] = bv
+        rows = mat[r : r + dk * dj].reshape(dk, dj, n_vars)  # row (p, q) of the pair, a view
+        nu, nv = A.shape[0], C.shape[1]
+        for p in range(dk):  # decoder column p of U_k[dk:]
+            rows[p, :, cu + p * nu : cu + (p + 1) * nu] = A.T
+        for q in range(dj):  # precoder column q of V_j[dj:]
+            rows[:, q, cv + q * nv : cv + (q + 1) * nv] = C
     return CoefficientMatrix(mat, row_index, col_index)
 
 
@@ -190,11 +192,21 @@ def build_coefficient_matrix(cfg: NetworkConfig, alignment, channel: Channel) ->
     return _jacobian(Problem(cfg, alignment, channel), TransceiverSet.identity(cfg))
 
 
-def _columns(links, d) -> tuple[dict[int, slice], int]:
-    """The columns of ``R`` of each other-side node that ``links`` reach, and ``R``'s width."""
+def _plan(links, d) -> tuple[dict[int, slice], tuple[int, int]]:
+    """The layout of the ``R`` that :func:`_eliminate` leaves, from the dimensions alone.
+
+    ``R`` has one column block per other-side node ``o`` that ``links``
+    reach, in node order, ``d_o (a_o - d_o)`` wide with ``a_o = G_no.shape[1]``.
+    Node ``n``'s links ``G_no`` have one row per antenna of ``n``, ``a_n``.
+    For a generic channel ``rank A_n = min(a_n - d_n, sum_o d_o)``, so ``R``
+    has ``sum_n d_n (sum_o d_o - rank A_n) = sum_n d_n max(0, d_n + sum_o d_o - a_n)`` rows.
+    Returns each node's column slice and ``R``'s shape.
+    """
     widths = {o: d[o - 1] * (G.shape[1] - d[o - 1]) for node_links in links.values() for o, G in node_links}
     starts = list(itertools.accumulate((widths[o] for o in sorted(widths)), initial=0))
-    return {o: slice(a, b) for o, a, b in zip(sorted(widths), starts, starts[1:])}, starts[-1]
+    rows = sum(d[n - 1] * max(0, d[n - 1] + sum(d[o - 1] for o, _ in node_links) - len(node_links[0][1]))
+               for n, node_links in links.items())
+    return {o: slice(a, b) for o, a, b in zip(sorted(widths), starts, starts[1:])}, (rows, starts[-1])
 
 
 def _eliminate(links, d) -> tuple[int, np.ndarray]:
@@ -211,12 +223,11 @@ def _eliminate(links, d) -> tuple[int, np.ndarray]:
     over the streams ``p`` of each node form the reduced matrix ``R``: the
     projected precoder columns on the decoder side, and the complex conjugate
     of the projected decoder columns on the precoder side.  ``R`` has one
-    column per free variable of the other side's linked nodes, in node order:
-    ``d_o (a_o - d_o)`` for node ``o``, with ``a_o = G_no.shape[1]``.  Returns
-    ``(sum_n d_n r_n, R)``: the coefficient matrix has rank
+    column per free variable of the other side's linked nodes, laid out by
+    :func:`_plan`.  Returns ``(sum_n d_n r_n, R)``: the coefficient matrix has rank
     ``sum_n d_n r_n + rank R``, so it has full row rank iff ``R`` does.
     """
-    columns, n_cols = _columns(links, d)
+    columns, (_, n_cols) = _plan(links, d)
     eliminated, blocks = 0, [np.zeros((0, n_cols), dtype=np.complex128)]
     for n, node_links in links.items():
         dn = d[n - 1]
@@ -233,24 +244,6 @@ def _eliminate(links, d) -> tuple[int, np.ndarray]:
             q0 += do
         blocks.append(block)
     return eliminated, np.concatenate(blocks)
-
-
-def _reduced_shape(links, d) -> tuple[int, int]:
-    """Shape of the ``R`` that :func:`_eliminate` leaves, from the dimensions alone.
-
-    Node ``n``'s links ``G_no`` have one row per antenna of ``n``, ``a_n``.
-    For a generic channel ``rank A_n = min(a_n - d_n, sum_o d_o)``, so ``R``
-    has ``sum_n d_n (sum_o d_o - rank A_n) = sum_n d_n max(0, d_n + sum_o d_o - a_n)`` rows.
-    """
-    rows = sum(d[n - 1] * max(0, d[n - 1] + sum(d[o - 1] for o, _ in node_links) - len(node_links[0][1]))
-               for n, node_links in links.items())
-    return rows, _columns(links, d)[1]
-
-
-def _svd_cost(links, d) -> int:
-    """Cost of decomposing the ``R`` that eliminating ``links``' side leaves, ``min(r, c)^2 max(r, c)``."""
-    lo, hi = sorted(_reduced_shape(links, d))
-    return lo * lo * hi
 
 
 def build_jacobian(cfg: NetworkConfig, alignment, channel: Channel,
@@ -427,8 +420,9 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
         method = "divisible_formula"
     else:
         problem = problem or Problem(cfg, pairs, generate_channel(cfg, seed))
-        # min keeps the first of equal costs: the decoder side
-        links = min((problem.by_rx, problem.by_tx), key=lambda side: _svd_cost(side, cfg.d))
+        # an r x c SVD costs min(r, c)^2 max(r, c); min keeps the first of equal costs, the decoders
+        links = min((problem.by_rx, problem.by_tx),
+                    key=lambda side: min(shape := _plan(side, cfg.d)[1]) ** 2 * max(shape))
         eliminated, reduced = _eliminate(links, cfg.d)
         rr = numerical_rank(reduced)
         rank = eliminated + rr.rank

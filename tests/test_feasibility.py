@@ -16,7 +16,7 @@ from conftest import (
 )
 from gia.feasibility import (
     _eliminate,
-    _reduced_shape,
+    _plan,
     build_coefficient_matrix,
     build_jacobian,
     check_divisible_formula,
@@ -679,8 +679,13 @@ class TestDecoderElimination:
                 eliminated, reduced = _eliminate(links, cfg.d)
                 rr = numerical_rank(reduced)
                 assert eliminated + rr.rank == rank, (cfg, pairs)
-                assert _reduced_shape(links, cfg.d) == reduced.shape, (cfg, pairs)
+                assert _plan(links, cfg.d)[1] == reduced.shape, (cfg, pairs)
                 assert reduced.shape[1] == width, (cfg, pairs)
+                # one contiguous column block per linked node, in node order, spanning R
+                columns = [block for _, block in sorted(_plan(links, cfg.d)[0].items())]
+                bounds = [0] + [block.stop for block in columns]
+                assert [block.start for block in columns] == bounds[:-1], (cfg, pairs)
+                assert bounds[-1] == reduced.shape[1], (cfg, pairs)
                 costs.append(svd_cost(reduced.shape))
                 cutoffs.append(rr.tolerance_used)
             report = feasibility_check(cfg, pairs, channel)
@@ -796,7 +801,7 @@ class TestDecoderElimination:
         assert eliminated_rank(cfg, pairs, channel) == rank
         assert eliminated_rank(cfg, pairs, channel, PRECODERS) == rank
         shapes = [_eliminate(links, cfg.d)[1].shape for links in both]
-        assert [_reduced_shape(links, cfg.d) for links in both] == shapes
+        assert [_plan(links, cfg.d)[1] for links in both] == shapes
         report = feasibility_check(cfg, pairs, channel)
         assert report.method == method
         if method == "hall_rank":
@@ -907,7 +912,7 @@ class TestRelations:
             if report.method == "hall_rank":
                 seen["hall_rank"] += 1
                 seen["feasible" if report.feasible else "infeasible"] += 1
-                costs = [svd_cost(_reduced_shape(links, cfg.d))
+                costs = [svd_cost(_plan(links, cfg.d)[1])
                          for links in sides(Problem(cfg, pairs, channel))]
                 seen["precoder side"] += costs[PRECODERS] < costs[DECODERS]
             seen["proper_fail"] += report.method == "proper_fail"
