@@ -35,8 +35,11 @@ reduced decoder matrix.  For a generic channel
 ``rank A_k = min(N_k - d_k, sum_j d_j)``, so both shapes are known before
 any SVD, and the rank test eliminates the side whose ``R`` is cheaper to
 decompose, by ``min(rows, cols)^2 max(rows, cols)``; on a tie it eliminates
-the decoders.  :func:`build_coefficient_matrix` stays the reference the
-elimination is tested against.
+the decoders.  When one side's ``R`` has no rows, every node of that side
+zero-forces all its aligned pairs by itself, the rank is the row count for
+every generic channel, and the verdict needs neither a channel nor an SVD.
+:func:`build_coefficient_matrix` stays the reference the elimination is
+tested against.
 
 Besides the generic rank test this module implements the cheap necessary
 counting condition (properness) and two closed-form special cases (symmetric
@@ -119,6 +122,9 @@ class FeasibilityReport:
     applied to that reduced matrix, the one that was decomposed, and 0.0 when
     it has no entries.  So ``rank`` does not depend on the side, and
     ``tolerance`` does; its last digits also follow the BLAS thread count.
+    When one side zero-forces alone, its reduced matrix has no rows, and
+    ``hall_rank`` is decided from the dimensions: ``rank`` is
+    ``n_constraints`` and ``tolerance`` 0.0, with no channel drawn.
     ``rank`` is -1 and ``tolerance`` 0.0 when the rank test was not run.
     """
 
@@ -192,19 +198,27 @@ def build_coefficient_matrix(cfg: NetworkConfig, alignment, channel: Channel) ->
     return _jacobian(Problem(cfg, alignment, channel), TransceiverSet.identity(cfg))
 
 
+def _rows(dn: int, an: int, load: int) -> int:
+    """Rows of ``R`` left by eliminating a node with ``dn`` streams and ``an``
+    antennas whose aligned partners carry ``load = sum_o d_o`` streams, for a
+    generic channel, where ``rank A_n = min(an - dn, load)``:
+    ``dn (load - rank A_n) = dn max(0, dn + load - an)``, none iff the node
+    zero-forces all its pairs by itself."""
+    return dn * max(0, dn + load - an)
+
+
 def _plan(links, d) -> tuple[dict[int, slice], tuple[int, int]]:
     """The layout of the ``R`` that :func:`_eliminate` leaves, from the dimensions alone.
 
     ``R`` has one column block per other-side node ``o`` that ``links``
     reach, in node order, ``d_o (a_o - d_o)`` wide with ``a_o = G_no.shape[1]``.
-    Node ``n``'s links ``G_no`` have one row per antenna of ``n``, ``a_n``.
-    For a generic channel ``rank A_n = min(a_n - d_n, sum_o d_o)``, so ``R``
-    has ``sum_n d_n (sum_o d_o - rank A_n) = sum_n d_n max(0, d_n + sum_o d_o - a_n)`` rows.
-    Returns each node's column slice and ``R``'s shape.
+    Node ``n``'s links ``G_no`` have one row per antenna of ``n``, ``a_n``,
+    and it adds :func:`_rows` rows.  Returns each node's column slice and
+    ``R``'s shape.
     """
     widths = {o: d[o - 1] * (G.shape[1] - d[o - 1]) for node_links in links.values() for o, G in node_links}
     starts = list(itertools.accumulate((widths[o] for o in sorted(widths)), initial=0))
-    rows = sum(d[n - 1] * max(0, d[n - 1] + sum(d[o - 1] for o, _ in node_links) - len(node_links[0][1]))
+    rows = sum(_rows(d[n - 1], len(node_links[0][1]), sum(d[o - 1] for o, _ in node_links))
                for n, node_links in links.items())
     return {o: slice(a, b) for o, a, b in zip(sorted(widths), starts, starts[1:])}, (rows, starts[-1])
 
@@ -390,6 +404,17 @@ def check_divisible_formula(cfg: NetworkConfig, alignment):
     return True, check_proper(cfg, pairs)[0]
 
 
+def _zero_forcing_side(cfg: NetworkConfig, pairs) -> bool:
+    """True when every receiver, or every transmitter, zero-forces its
+    aligned pairs by itself: that side's ``R`` has no rows (:func:`_rows`)."""
+    rx, tx = {}, {}  # node -> the streams of the nodes it is aligned with
+    for k, j in pairs:
+        rx[k] = rx.get(k, 0) + cfg.d[j - 1]
+        tx[j] = tx.get(j, 0) + cfg.d[k - 1]
+    return (not any(_rows(cfg.d[k - 1], cfg.N[k - 1], load) for k, load in rx.items())
+            or not any(_rows(cfg.d[j - 1], cfg.M[j - 1], load) for j, load in tx.items()))
+
+
 def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = None,
                       seed: int = 0) -> FeasibilityReport:
     """Decide feasibility for a configuration and alignment set.
@@ -399,12 +424,16 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     forms restate it), so there it decides and the report names the class.
     The generic rank test of the coefficient matrix decides the rest, with
     the variable blocks of one side eliminated in closed form: the side that
-    leaves the cheaper reduced matrix, the decoders on a tie.
+    leaves the cheaper reduced matrix, the decoders on a tie.  When every
+    receiver, or every transmitter, zero-forces its aligned pairs by itself,
+    that reduced matrix has no rows, and ``hall_rank`` is decided from the
+    dimensions, with no channel drawn.
     Because the verdict depends only on the configuration and alignment set
     (not the channel draw), a single random channel is generated from
-    ``seed`` when none is supplied.  The seed and a supplied channel are
-    validated even when a fast path decides; a supplied channel is checked
-    once, by the :class:`~gia.network.Problem` the rank test decides on.
+    ``seed`` when the rank test needs one.  The seed and a supplied channel
+    are validated even when a fast path or the dimensions decide, and a
+    supplied channel is then not read; it is checked once, by the
+    :class:`~gia.network.Problem` the rank test decides on.
     """
     seed = _check_seed(seed)
     pairs = canonical_alignment(cfg, alignment)
@@ -418,6 +447,9 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
         method = "symmetric_formula"
     elif _divisible(cfg):
         method = "divisible_formula"
+    elif _zero_forcing_side(cfg, pairs):
+        # R has no rows: rank C for any generic channel, the cutoff of an empty spectrum
+        return FeasibilityReport(True, n_constraints, n_variables, n_constraints, "hall_rank", 0.0)
     else:
         problem = problem or Problem(cfg, pairs, generate_channel(cfg, seed))
         # an r x c SVD costs min(r, c)^2 max(r, c); min keeps the first of equal costs, the decoders

@@ -425,6 +425,12 @@ class TestClosedFormsRestateProperness:
         assert jammers > 0 and partial > 0
 
 
+# every receiver zero-forces its aligned pairs alone (N_k - d_k >= sum_j d_j),
+# and, with a jammer, every transmitter alone (M_j - d_j >= sum_k d_k)
+RX_ZERO_FORCING = NetworkConfig(K=2, J=0, M=(1, 2), N=(3, 3), d=(1, 2))
+TX_ZERO_FORCING = NetworkConfig(K=2, J=1, M=(3, 3, 4), N=(1, 2), d=(1, 2, 1))
+
+
 class TestFeasibilityCheck:
     def test_benchmark_verdicts(self):
         assert feasibility_check(CONFIG_SYM, alignment_all(CONFIG_SYM)).feasible
@@ -483,7 +489,8 @@ class TestFeasibilityCheck:
         (CONFIG_ASYM, alignment_all(CONFIG_ASYM), "divisible_formula"),
         (NetworkConfig(K=2, J=0, M=(1, 3), N=(3, 1), d=(1, 1)), ((2, 1),), "proper_fail"),
         (CONFIG_INFEASIBLE, alignment_all(CONFIG_INFEASIBLE), "hall_rank"),
-    ], ids=["symmetric", "divisible", "improper", "rank-test"])
+        (RX_ZERO_FORCING, alignment_all(RX_ZERO_FORCING), "hall_rank"),
+    ], ids=["symmetric", "divisible", "improper", "rank-test", "zero-forcing"])
     def test_supplied_channel_checked_once(self, monkeypatch, cfg, pairs, method):
         calls = []
 
@@ -504,6 +511,22 @@ class TestFeasibilityCheck:
                 check_channel(cfg, link)
             with pytest.raises(ConfigError, match=f"^{re.escape(str(expected.value))}$"):
                 feasibility_check(cfg, pairs, link)
+
+    @pytest.mark.parametrize("cfg, line", [(RX_ZERO_FORCING, "true,hall_rank,4,4,4,0.0"),
+                                           (TX_ZERO_FORCING, "true,hall_rank,7,7,7,0.0")],
+                             ids=["receivers", "transmitters"])
+    def test_zero_forcing_side_decided_without_a_channel(self, monkeypatch, cfg, line):
+        pairs = alignment_all(cfg)
+        channel = generate_channel(cfg, 0)
+        assert full_rank(cfg, pairs, channel) == int(line.split(",")[2])
+
+        def no_draw(*args):
+            raise AssertionError("channel drawn")
+
+        monkeypatch.setattr("gia.feasibility.generate_channel", no_draw)
+        # the rank test's record for an empty R: rank C, the cutoff of an empty spectrum
+        for report in (feasibility_check(cfg, pairs, seed=5), feasibility_check(cfg, pairs, channel)):
+            assert report.to_line() == line
 
     def test_fast_paths_agree_with_rank_test(self):
         rng = np.random.default_rng(77)
@@ -705,6 +728,31 @@ class TestDecoderElimination:
             seen["node without pair"] += (len({k for k, _ in pairs}) < cfg.K
                                           or len({j for _, j in pairs}) < cfg.n_tx)
             seen["scaled"] += scaled
+        assert min(seen.values()) >= 20, seen
+
+    def test_no_channel_drawn_exactly_when_a_reduced_matrix_has_no_rows(self, monkeypatch):
+        draws = []
+
+        def counted(cfg, seed):
+            draws.append(seed)
+            return generate_channel(cfg, seed)
+
+        monkeypatch.setattr("gia.feasibility.generate_channel", counted)
+        rng = np.random.default_rng(2030)
+        seen = {"no draw": 0, "drawn": 0}
+        for i in range(300):
+            cfg, pairs, _ = random_elimination_instance(rng)
+            draws.clear()
+            report = feasibility_check(cfg, pairs, seed=i)
+            if report.method != "hall_rank":
+                continue
+            channel = generate_channel(cfg, i)
+            empty = any(_plan(links, cfg.d)[1][0] == 0 for links in sides(Problem(cfg, pairs, channel)))
+            assert draws == ([] if empty else [i]), (cfg, pairs)
+            if empty:
+                assert full_rank(cfg, pairs, channel) == report.n_constraints, (cfg, pairs)
+                assert (report.feasible, report.rank, report.tolerance) == (True, report.n_constraints, 0.0)
+            seen["no draw" if empty else "drawn"] += 1
         assert min(seen.values()) >= 20, seen
 
     def test_reduced_matrix_is_the_projected_precoder_columns(self):
