@@ -35,9 +35,14 @@ reduced decoder matrix.  For a generic channel
 ``rank A_k = min(N_k - d_k, sum_j d_j)``, so both shapes are known before
 any SVD, and the rank test eliminates the side whose ``R`` is cheaper to
 decompose, by ``min(rows, cols)^2 max(rows, cols)``; on a tie it eliminates
-the decoders.  When one side's ``R`` has no rows, every node of that side
-zero-forces all its aligned pairs by itself, the rank is the row count for
-every generic channel, and the verdict needs neither a channel nor an SVD.
+the decoders.  A node ``n`` whose ``rank A_n`` is its partners' stream count
+``sum_o d_o`` for a generic channel zero-forces all its aligned pairs by
+itself: it adds no row to ``R``, so it is counted at its generic rank
+``d_n sum_o d_o`` and neither its links nor an SVD of them are needed, for a
+supplied channel too.  Only the other nodes' links are drawn.  When every
+node of a side zero-forces alone, that side's ``R`` has no rows, the rank is
+the row count for every generic channel, and the verdict needs neither a
+channel nor an SVD.
 :func:`build_coefficient_matrix` stays the reference the elimination is
 tested against.
 
@@ -69,6 +74,7 @@ from .network import (
     TransceiverSet,
     _check_seed,
     canonical_alignment,
+    check_channel,
     check_transceivers,
     free_shapes,
     generate_channel,
@@ -118,7 +124,11 @@ class FeasibilityReport:
     ``rank`` is the rank of the coefficient matrix: the rank
     ``sum_n d_n rank(A_n)`` of the eliminated side's blocks plus the rank of
     the reduced matrix that is left, one column per free variable of the
-    other side's linked nodes.  ``tolerance`` is the singular-value cutoff
+    other side's linked nodes.  A node that zero-forces its pairs alone
+    counts at its generic rank ``d_n sum_o d_o``, its partners' streams
+    times its own, and its links are not read, on a supplied channel too:
+    the report is the verdict for almost every channel, not the rank of that
+    one.  ``tolerance`` is the singular-value cutoff
     applied to that reduced matrix, the one that was decomposed, and 0.0 when
     it has no entries.  So ``rank`` does not depend on the side, and
     ``tolerance`` does; its last digits also follow the BLAS thread count.
@@ -207,51 +217,95 @@ def _rows(dn: int, an: int, load: int) -> int:
     return dn * max(0, dn + load - an)
 
 
-def _plan(links, d) -> tuple[dict[int, slice], tuple[int, int]]:
-    """The layout of the ``R`` that :func:`_eliminate` leaves, from the dimensions alone.
+@dataclass(frozen=True)
+class _Plan:
+    """One side's elimination, planned by :func:`_plan` from the dimensions alone.
 
-    ``R`` has one column block per other-side node ``o`` that ``links``
-    reach, in node order, ``d_o (a_o - d_o)`` wide with ``a_o = G_no.shape[1]``.
-    Node ``n``'s links ``G_no`` have one row per antenna of ``n``, ``a_n``,
-    and it adds :func:`_rows` rows.  Returns each node's column slice and
-    ``R``'s shape.
+    ``kept[n]`` lists, in pair order, the aligned partners of each node ``n``
+    that adds rows to ``R``; ``generic`` is ``sum_n d_n sum_o d_o`` over the
+    nodes that zero-force alone, their rank for a generic channel.
+    ``columns[o]`` is the column slice of ``R`` of each other-side node ``o``
+    that any node of the side is aligned with, and ``shape`` is ``R``'s.
     """
-    widths = {o: d[o - 1] * (G.shape[1] - d[o - 1]) for node_links in links.values() for o, G in node_links}
-    starts = list(itertools.accumulate((widths[o] for o in sorted(widths)), initial=0))
-    rows = sum(_rows(d[n - 1], len(node_links[0][1]), sum(d[o - 1] for o, _ in node_links))
-               for n, node_links in links.items())
-    return {o: slice(a, b) for o, a, b in zip(sorted(widths), starts, starts[1:])}, (rows, starts[-1])
+
+    precoders: bool
+    kept: dict[int, tuple[int, ...]]
+    generic: int
+    columns: dict[int, slice]
+    shape: tuple[int, int]
+
+    @property
+    def pairs(self) -> tuple[Pair, ...]:
+        """The aligned pairs ``(k, j)`` whose links the kept nodes read."""
+        return tuple((o, n) if self.precoders else (n, o)
+                     for n, partners in self.kept.items() for o in partners)
 
 
-def _eliminate(links, d) -> tuple[int, np.ndarray]:
+def _plan(cfg: NetworkConfig, pairs, precoders: bool = False) -> _Plan:
+    """The elimination of the decoder side, or of the precoder side, from the dimensions alone.
+
+    The decoder side's nodes are the receivers, with links ``G_kj = H_kj``;
+    the precoder side's are the transmitters, with the reciprocal links
+    ``G_jk = H_kj^H``.  Both list their partners in canonical pair order, as
+    :class:`~gia.network.Problem`'s ``by_rx`` and ``by_tx`` do.  ``R`` has one
+    column block per other-side node ``o`` that the pairs reach, in node
+    order, ``d_o (a_o - d_o)`` wide, where ``a_o`` is its antenna count, and
+    node ``n`` adds :func:`_rows` rows.  A node that adds none zero-forces
+    its pairs alone: it counts at its generic rank and reads no link.
+    """
+    d = cfg.d
+    own, other = (cfg.M, cfg.N) if precoders else (cfg.N, cfg.M)
+    partners: dict[int, list[int]] = {}
+    for k, j in pairs:
+        n, o = (j, k) if precoders else (k, j)
+        partners.setdefault(n, []).append(o)
+    reached = sorted({o for node_partners in partners.values() for o in node_partners})
+    starts = list(itertools.accumulate((d[o - 1] * (other[o - 1] - d[o - 1]) for o in reached),
+                                       initial=0))
+    kept, generic, rows = {}, 0, 0
+    for n, node_partners in partners.items():
+        load = sum(d[o - 1] for o in node_partners)
+        added = _rows(d[n - 1], own[n - 1], load)
+        if added:
+            kept[n], rows = tuple(node_partners), rows + added
+        else:
+            generic += d[n - 1] * load
+    columns = {o: slice(a, b) for o, a, b in zip(reached, starts, starts[1:])}
+    return _Plan(precoders, kept, generic, columns, (rows, starts[-1]))
+
+
+def _eliminate(plan: _Plan, channel: Channel, d) -> tuple[int, np.ndarray]:
     """One side's variable blocks of the coefficient matrix, eliminated in closed form.
 
-    ``links`` is ``Problem.by_rx`` (the decoder side) or
-    ``Problem.by_tx`` (the precoder side: the decoder side of the
-    reciprocal network, whose constraints are the originals
-    conjugate-transposed), and ``d`` the stream counts.  Up to row order,
-    node ``n``'s rows of its own columns are ``I_{d_n} (x) A_n^T``, with
+    ``plan`` is the decoder side's or the precoder side's (the decoder side
+    of the reciprocal network, whose constraints are the originals
+    conjugate-transposed), and ``d`` the stream counts; ``channel`` needs
+    only the links of ``plan.pairs``.  Up to row order, node ``n``'s rows of
+    its own columns are ``I_{d_n} (x) A_n^T``, with
     ``A_n = [G_no[d_n:, :d_o]]_o`` over its links ``G_no``, and no other rows
     touch its columns.  With ``r_n = rank A_n`` and ``W_n`` an orthonormal basis of the complement of
     the range of ``A_n^T``, the rows ``W_n^H [kron(I_{d_o}, G_no[p, d_o:])]_o``
     over the streams ``p`` of each node form the reduced matrix ``R``: the
     projected precoder columns on the decoder side, and the complex conjugate
-    of the projected decoder columns on the precoder side.  ``R`` has one
+    of the projected decoder columns on the precoder side.  A node that
+    zero-forces alone has ``r_n = sum_o d_o`` for a generic channel and an
+    empty ``W_n``: it is counted at that rank and not decomposed.  ``R`` has one
     column per free variable of the other side's linked nodes, laid out by
-    :func:`_plan`.  Returns ``(sum_n d_n r_n, R)``: the coefficient matrix has rank
+    the plan.  Returns ``(sum_n d_n r_n, R)``: the coefficient matrix has rank
     ``sum_n d_n r_n + rank R``, so it has full row rank iff ``R`` does.
     """
-    columns, (_, n_cols) = _plan(links, d)
-    eliminated, blocks = 0, [np.zeros((0, n_cols), dtype=np.complex128)]
-    for n, node_links in links.items():
+    n_cols = plan.shape[1]
+    eliminated, blocks = plan.generic, [np.zeros((0, n_cols), dtype=np.complex128)]
+    for n, partners in plan.kept.items():
         dn = d[n - 1]
-        r, W = column_complement(np.hstack([G[dn:, : d[o - 1]] for o, G in node_links]).T)
+        links = [(o, channel[o, n].conj().T if plan.precoders else channel[n, o]) for o in partners]
+        r, W = column_complement(np.hstack([G[dn:, : d[o - 1]] for o, G in links]).T)
         eliminated += dn * r
         Wh = W.conj().T
         block = np.zeros((dn * Wh.shape[0], n_cols), dtype=np.complex128)
         q0 = 0
-        for o, G in node_links:
-            do, cols = d[o - 1], columns[o]
+        for o, G in links:
+            do, cols = d[o - 1], plan.columns[o]
             # row (p, w), column (q, m) holds Wh[w, q0 + q] * G[p, do + m]
             block[:, cols] = np.einsum(
                 "wq,pm->pwqm", Wh[:, q0 : q0 + do], G[:dn, do:]).reshape(block[:, cols].shape)
@@ -298,8 +352,9 @@ def check_proper(cfg: NetworkConfig, alignment):
     short, and a short flow's last search reaches only transmitters of
     positive need, so its minimum cut names pairs that violate the condition.
     The nodes that search reaches are the source side of the smallest minimum
-    cut, the same for every maximum flow, so the search order does not change
-    the subset named.
+    cut, the same for every maximum flow, so neither the search order nor
+    the greedy flow that starts it (each pair's own path, in canonical
+    order) changes the subset named.
 
     Returns
     -------
@@ -308,15 +363,21 @@ def check_proper(cfg: NetworkConfig, alignment):
     """
     pairs = canonical_alignment(cfg, alignment)
     rx, tx = free_shapes(cfg)
-    sink = cfg.n_tx + cfg.K + 1  # source 0, transmitter j at j, receiver k at n_tx + k
+    n_tx, d = cfg.n_tx, cfg.d
+    sink = n_tx + cfg.K + 1  # source 0, transmitter j at j, receiver k at n_tx + k
     residual = [[0] * (sink + 1) for _ in range(sink + 1)]
     for k, j in pairs:
-        residual[0][j] += cfg.d[k - 1] * cfg.d[j - 1]
-        residual[j][cfg.n_tx + k] = cfg.d[k - 1] * cfg.d[j - 1]
-        residual[cfg.n_tx + k][sink] = math.prod(rx[k - 1])
-    for j in range(1, cfg.n_tx + 1):
+        residual[0][j] += d[k - 1] * d[j - 1]
+        residual[j][n_tx + k] = d[k - 1] * d[j - 1]
+        residual[n_tx + k][sink] = math.prod(rx[k - 1])
+    for j in range(1, n_tx + 1):
         residual[0][j] = max(0, residual[0][j] - math.prod(tx[j - 1]))
 
+    for k, j in pairs:  # warm start: a greedy flow along each pair's own path
+        push = min(residual[0][j], residual[j][n_tx + k], residual[n_tx + k][sink])
+        for a, b in ((0, j), (j, n_tx + k), (n_tx + k, sink)):
+            residual[a][b] -= push
+            residual[b][a] += push
     while True:  # Edmonds-Karp: augment along shortest residual paths
         parent = [0] + [-1] * sink
         queue = deque([0])
@@ -339,7 +400,7 @@ def check_proper(cfg: NetworkConfig, alignment):
             residual[b][a] += push
     if not any(residual[0]):  # every need carried
         return True, None
-    return False, tuple((k, j) for k, j in pairs if parent[j] >= 0 and parent[cfg.n_tx + k] >= 0)
+    return False, tuple((k, j) for k, j in pairs if parent[j] >= 0 and parent[n_tx + k] >= 0)
 
 
 def check_symmetric_formula(cfg: NetworkConfig, alignment):
@@ -404,17 +465,6 @@ def check_divisible_formula(cfg: NetworkConfig, alignment):
     return True, check_proper(cfg, pairs)[0]
 
 
-def _zero_forcing_side(cfg: NetworkConfig, pairs) -> bool:
-    """True when every receiver, or every transmitter, zero-forces its
-    aligned pairs by itself: that side's ``R`` has no rows (:func:`_rows`)."""
-    rx, tx = {}, {}  # node -> the streams of the nodes it is aligned with
-    for k, j in pairs:
-        rx[k] = rx.get(k, 0) + cfg.d[j - 1]
-        tx[j] = tx.get(j, 0) + cfg.d[k - 1]
-    return (not any(_rows(cfg.d[k - 1], cfg.N[k - 1], load) for k, load in rx.items())
-            or not any(_rows(cfg.d[j - 1], cfg.M[j - 1], load) for j, load in tx.items()))
-
-
 def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = None,
                       seed: int = 0) -> FeasibilityReport:
     """Decide feasibility for a configuration and alignment set.
@@ -424,20 +474,23 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
     forms restate it), so there it decides and the report names the class.
     The generic rank test of the coefficient matrix decides the rest, with
     the variable blocks of one side eliminated in closed form: the side that
-    leaves the cheaper reduced matrix, the decoders on a tie.  When every
-    receiver, or every transmitter, zero-forces its aligned pairs by itself,
-    that reduced matrix has no rows, and ``hall_rank`` is decided from the
-    dimensions, with no channel drawn.
+    leaves the cheaper reduced matrix, the decoders on a tie, both planned
+    from the dimensions.  A node that zero-forces its aligned pairs by itself
+    adds no row to that matrix and counts at its generic rank; when every
+    node of a side does, the reduced matrix has no rows, and ``hall_rank``
+    is decided from the dimensions.
     Because the verdict depends only on the configuration and alignment set
-    (not the channel draw), a single random channel is generated from
-    ``seed`` when the rank test needs one.  The seed and a supplied channel
-    are validated even when a fast path or the dimensions decide, and a
-    supplied channel is then not read; it is checked once, by the
-    :class:`~gia.network.Problem` the rank test decides on.
+    (not the channel draw), a random channel is generated from ``seed`` when
+    the rank test needs one, and only the links of the nodes it decomposes
+    are drawn.  The seed and a supplied channel are validated even when a
+    fast path or the dimensions decide; a supplied channel is checked once,
+    by :func:`~gia.network.check_channel`, and the rank test reads only
+    those links from it.
     """
     seed = _check_seed(seed)
     pairs = canonical_alignment(cfg, alignment)
-    problem = None if channel is None else Problem(cfg, pairs, channel)
+    if channel is not None:
+        check_channel(cfg, channel)
 
     _, _, n_constraints, n_variables = _layout(cfg, pairs)
     proper, _ = check_proper(cfg, pairs)
@@ -447,18 +500,19 @@ def feasibility_check(cfg: NetworkConfig, alignment, channel: Channel | None = N
         method = "symmetric_formula"
     elif _divisible(cfg):
         method = "divisible_formula"
-    elif _zero_forcing_side(cfg, pairs):
-        # R has no rows: rank C for any generic channel, the cutoff of an empty spectrum
-        return FeasibilityReport(True, n_constraints, n_variables, n_constraints, "hall_rank", 0.0)
     else:
-        problem = problem or Problem(cfg, pairs, generate_channel(cfg, seed))
-        # an r x c SVD costs min(r, c)^2 max(r, c); min keeps the first of equal costs, the decoders
-        links = min((problem.by_rx, problem.by_tx),
-                    key=lambda side: min(shape := _plan(side, cfg.d)[1]) ** 2 * max(shape))
-        eliminated, reduced = _eliminate(links, cfg.d)
+        # an r x c SVD costs min(r, c)^2 max(r, c), 0 with no rows; min keeps the first of
+        # equal costs, the decoders
+        plan = min(_plan(cfg, pairs), _plan(cfg, pairs, precoders=True),
+                   key=lambda side: min(side.shape) ** 2 * max(side.shape))
+        if not plan.shape[0]:
+            # R has no rows: rank C for any generic channel, the cutoff of an empty spectrum
+            return FeasibilityReport(True, n_constraints, n_variables, n_constraints, "hall_rank", 0.0)
+        if channel is None:
+            channel = generate_channel(cfg, seed, alignment=plan.pairs)
+        eliminated, reduced = _eliminate(plan, channel, cfg.d)
         rr = numerical_rank(reduced)
         rank = eliminated + rr.rank
         return FeasibilityReport(rank == n_constraints, n_constraints, n_variables, rank,
                                  "hall_rank", rr.tolerance_used)
     return FeasibilityReport(proper, n_constraints, n_variables, -1, method, 0.0)
-

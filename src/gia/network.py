@@ -210,20 +210,24 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def generate_channel(cfg: NetworkConfig, seed: int) -> Channel:
+def generate_channel(cfg: NetworkConfig, seed: int, *, alignment=None) -> Channel:
     """Draw i.i.d. unit-variance circularly-symmetric complex Gaussian channels.
 
     Every matrix ``H_kj`` comes from its own substream keyed by
     ``(seed, k, j)``, so a given link's realization does not depend on which
-    other links are generated or on iteration order.  Direct links ``H_kk``
-    are always included.
+    other links are generated or on iteration order.  By default every link
+    is drawn, direct links ``H_kk`` included.  With ``alignment``, checked by
+    :func:`canonical_alignment`, only the links of its pairs are drawn, in
+    canonical order, each the same as in the full draw; such a partial
+    channel does not pass :func:`check_channel`.
     """
     seed = _check_seed(seed)
+    links = (((k, j) for k in range(1, cfg.K + 1) for j in range(1, cfg.n_tx + 1))
+             if alignment is None else canonical_alignment(cfg, alignment))
     channel: Channel = {}
-    for k in range(1, cfg.K + 1):
-        for j in range(1, cfg.n_tx + 1):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, k, j]))
-            channel[(k, j)] = _complex_normal(rng, (cfg.N[k - 1], cfg.M[j - 1]))
+    for k, j in links:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k, j]))
+        channel[(k, j)] = _complex_normal(rng, (cfg.N[k - 1], cfg.M[j - 1]))
     return channel
 
 

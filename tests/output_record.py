@@ -8,9 +8,9 @@ A change that should not alter any result prints the same bytes in a checkout
 of its parent and in its own; ``cmp`` the two files.  The record is
 
 * ``check_proper(cfg, pairs)``, ``check_symmetric_formula(cfg, pairs)`` and
-  ``feasibility_check(...).to_line()`` for channel seeds 0, 1, 2 on the
-  benchmark's ``feasibility`` family (``bench/workloads.py``: 27 networks at
-  x1/x2/x3);
+  ``feasibility_check(...).to_line()`` for channel seeds 0, 1, 2 and for the
+  supplied channel ``generate_channel(cfg, 0)`` on the benchmark's
+  ``feasibility`` family (``bench/workloads.py``: 27 networks at x1/x2/x3);
 * ``check_proper(cfg, pairs)``, ``check_symmetric_formula(cfg, pairs)`` and
   ``feasibility_check(cfg, pairs, seed=i).to_line()`` on 3000 random networks
   from ``random_elimination_instance`` (``tests/test_feasibility.py``) with
@@ -19,7 +19,7 @@ of its parent and in its own; ``cmp`` the two files.  The record is
 * the ``run_fig6`` traces of the three reference networks, channel seeds 0
   and 1, capped at 300 rounds.
 
-That is 13429 lines.  The fast-path lines hold what ``to_line()`` leaves out:
+That is 13510 lines.  The fast-path lines hold what ``to_line()`` leaves out:
 the violating subset ``check_proper`` names and the closed-form verdict.
 
 The package is imported from ``src/`` of the checkout this file lives in, and
@@ -42,6 +42,7 @@ import numpy as np  # noqa: E402
 from bench.workloads import Feasibility  # noqa: E402
 from gia.feasibility import check_proper, check_symmetric_formula, feasibility_check  # noqa: E402
 from gia.harness import run_fig6, run_test1  # noqa: E402
+from gia.network import generate_channel  # noqa: E402
 from test_feasibility import random_elimination_instance  # noqa: E402
 
 
@@ -57,6 +58,8 @@ def bench_family():
         yield from fast_paths(f"bench {m} x{c}", cfg, pairs)
         for s in (0, 1, 2):
             yield f"bench {m} x{c} seed {s}: {feasibility_check(cfg, pairs, seed=s).to_line()}"
+        supplied = feasibility_check(cfg, pairs, generate_channel(cfg, 0))
+        yield f"bench {m} x{c} channel 0: {supplied.to_line()}"
 
 
 def random_instances():

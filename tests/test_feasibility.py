@@ -609,16 +609,16 @@ def full_rank(cfg, pairs, channel):
     return numerical_rank(build_coefficient_matrix(cfg, pairs, channel).matrix).rank
 
 
-DECODERS, PRECODERS = 0, 1  # indices into sides(problem)
+DECODERS, PRECODERS = 0, 1  # indices into sides(cfg, pairs)
 
 
-def sides(problem):
-    """The links of either side's elimination, decoder side first."""
-    return problem.by_rx, problem.by_tx
+def sides(cfg, pairs):
+    """Either side's elimination plan, decoder side first."""
+    return _plan(cfg, pairs), _plan(cfg, pairs, precoders=True)
 
 
 def eliminated_rank(cfg, pairs, channel, side=DECODERS):
-    eliminated, reduced = _eliminate(sides(Problem(cfg, pairs, channel))[side], cfg.d)
+    eliminated, reduced = _eliminate(sides(cfg, pairs)[side], channel, cfg.d)
     return eliminated + numerical_rank(reduced).rank
 
 
@@ -632,6 +632,28 @@ def linked_free_variables(cfg, pairs):
 
 def svd_cost(shape):
     return min(shape) ** 2 * max(shape)
+
+
+def chosen_side(cfg, pairs):
+    """The side the rank test eliminates, by the definitions: node ``n`` adds
+    ``d_n (load_n - rank A_n)`` rows, with ``load_n`` its partners' streams and
+    ``rank A_n = min(a_n - d_n, load_n)`` for a generic channel.  Returns the
+    side, its nodes that add rows and its nodes that zero-force alone."""
+    load = ({}, {})
+    for k, j in pairs:
+        load[DECODERS][k] = load[DECODERS].get(k, 0) + cfg.d[j - 1]
+        load[PRECODERS][j] = load[PRECODERS].get(j, 0) + cfg.d[k - 1]
+    rows = [{n: cfg.d[n - 1] * (ln - min(a[n - 1] - cfg.d[n - 1], ln)) for n, ln in side_load.items()}
+            for side_load, a in zip(load, (cfg.N, cfg.M))]
+    shapes = [(sum(r.values()), width) for r, width in zip(rows, linked_free_variables(cfg, pairs))]
+    side = PRECODERS if svd_cost(shapes[PRECODERS]) < svd_cost(shapes[DECODERS]) else DECODERS
+    return (side, {n for n, r in rows[side].items() if r},
+            {n for n, r in rows[side].items() if not r})
+
+
+def node_of(side, pair):
+    """The node of ``side`` in an aligned pair ``(k, j)``."""
+    return pair[side == PRECODERS]
 
 
 def random_elimination_instance(rng, max_J=2):
@@ -698,14 +720,14 @@ class TestDecoderElimination:
             n_constraints, rank = hall.n_constraints, numerical_rank(hall.matrix).rank
             costs, cutoffs = [], []
             widths = linked_free_variables(cfg, pairs)
-            for links, width in zip(sides(Problem(cfg, pairs, channel)), widths):
-                eliminated, reduced = _eliminate(links, cfg.d)
+            for plan, width in zip(sides(cfg, pairs), widths):
+                eliminated, reduced = _eliminate(plan, channel, cfg.d)
                 rr = numerical_rank(reduced)
                 assert eliminated + rr.rank == rank, (cfg, pairs)
-                assert _plan(links, cfg.d)[1] == reduced.shape, (cfg, pairs)
+                assert plan.shape == reduced.shape, (cfg, pairs)
                 assert reduced.shape[1] == width, (cfg, pairs)
                 # one contiguous column block per linked node, in node order, spanning R
-                columns = [block for _, block in sorted(_plan(links, cfg.d)[0].items())]
+                columns = [block for _, block in sorted(plan.columns.items())]
                 bounds = [0] + [block.stop for block in columns]
                 assert [block.start for block in columns] == bounds[:-1], (cfg, pairs)
                 assert bounds[-1] == reduced.shape[1], (cfg, pairs)
@@ -733,9 +755,9 @@ class TestDecoderElimination:
     def test_no_channel_drawn_exactly_when_a_reduced_matrix_has_no_rows(self, monkeypatch):
         draws = []
 
-        def counted(cfg, seed):
+        def counted(cfg, seed, *, alignment=None):
             draws.append(seed)
-            return generate_channel(cfg, seed)
+            return generate_channel(cfg, seed, alignment=alignment)
 
         monkeypatch.setattr("gia.feasibility.generate_channel", counted)
         rng = np.random.default_rng(2030)
@@ -747,12 +769,63 @@ class TestDecoderElimination:
             if report.method != "hall_rank":
                 continue
             channel = generate_channel(cfg, i)
-            empty = any(_plan(links, cfg.d)[1][0] == 0 for links in sides(Problem(cfg, pairs, channel)))
+            empty = any(plan.shape[0] == 0 for plan in sides(cfg, pairs))
             assert draws == ([] if empty else [i]), (cfg, pairs)
             if empty:
                 assert full_rank(cfg, pairs, channel) == report.n_constraints, (cfg, pairs)
                 assert (report.feasible, report.rank, report.tolerance) == (True, report.n_constraints, 0.0)
             seen["no draw" if empty else "drawn"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_only_the_links_of_nodes_that_add_rows_drawn(self, monkeypatch):
+        # a node that zero-forces its pairs alone adds no row to R and reads no
+        # link, so the rank test draws the links of the side's other nodes only
+        drawn = []
+
+        def recorded(cfg, seed, *, alignment=None):
+            drawn.append(alignment)
+            return generate_channel(cfg, seed, alignment=alignment)
+
+        monkeypatch.setattr("gia.feasibility.generate_channel", recorded)
+        rng = np.random.default_rng(2041)
+        seen = {"mixed": 0, "precoder side": 0}
+        for i in range(400):
+            cfg, pairs, _ = random_elimination_instance(rng)
+            drawn.clear()
+            report = feasibility_check(cfg, pairs, seed=i)
+            side, kept, zero_forcing = chosen_side(cfg, pairs)
+            if report.method != "hall_rank" or not kept:
+                assert drawn == [], (cfg, pairs)
+                continue
+            assert len(drawn) == 1, (cfg, pairs)
+            assert sorted(drawn[0]) == [pair for pair in pairs if node_of(side, pair) in kept], (cfg, pairs)
+            # each drawn link is the full draw's, so the record is too
+            assert report.to_line() == feasibility_check(cfg, pairs, generate_channel(cfg, i)).to_line()
+            if zero_forcing:
+                seen["mixed"] += 1
+                seen["precoder side"] += side == PRECODERS
+        assert min(seen.values()) >= 20, seen
+
+    def test_zero_forcing_nodes_counted_at_their_generic_rank(self):
+        # The record of a supplied channel does not read the links of a node
+        # that zero-forces alone: zeroing them keeps the generic channel's
+        # record, though the full matrix of the zeroed channel loses rank.
+        rng = np.random.default_rng(2042)
+        seen = {"mixed": 0, "no rows": 0, "rank lost": 0}
+        for _ in range(400):
+            cfg, pairs, _ = random_elimination_instance(rng)
+            side, kept, zero_forcing = chosen_side(cfg, pairs)
+            if not zero_forcing:
+                continue
+            channel = generate_channel(cfg, int(rng.integers(2**32)))
+            report = feasibility_check(cfg, pairs, channel)
+            if report.method != "hall_rank":
+                continue
+            zeroed = {**channel, **{pair: np.zeros_like(channel[pair]) for pair in pairs
+                                    if node_of(side, pair) in zero_forcing}}
+            assert feasibility_check(cfg, pairs, zeroed).to_line() == report.to_line(), (cfg, pairs)
+            seen["mixed" if kept else "no rows"] += 1
+            seen["rank lost"] += full_rank(cfg, pairs, zeroed) < full_rank(cfg, pairs, channel)
         assert min(seen.values()) >= 20, seen
 
     def test_reduced_matrix_is_the_projected_precoder_columns(self):
@@ -780,7 +853,7 @@ class TestDecoderElimination:
                         q0 += dj
                     rows.append(row)
         projected = np.array(rows) @ hall.matrix
-        _, reduced = _eliminate(problem.by_rx, cfg.d)
+        _, reduced = _eliminate(sides(cfg, pairs)[DECODERS], channel, cfg.d)
         v0 = hall.col_index[("V", 1)]
         assert reduced.shape == (len(rows), hall.n_variables - v0) and len(rows) > 0
         np.testing.assert_allclose(projected[:, :v0], 0, atol=1e-12)
@@ -814,7 +887,7 @@ class TestDecoderElimination:
                         p0 += dk
                     rows.append(row)
         projected = np.array(rows) @ hall.matrix
-        _, reduced = _eliminate(problem.by_tx, cfg.d)
+        _, reduced = _eliminate(sides(cfg, pairs)[PRECODERS], channel, cfg.d)
         v0 = hall.col_index[("V", 1)]
         assert reduced.shape == (len(rows), v0) and len(rows) > 0
         np.testing.assert_allclose(projected[:, v0:], 0, atol=1e-12)
@@ -842,14 +915,14 @@ class TestDecoderElimination:
     def test_edge_cases(self, cfg, pairs, reduced_shape, method):
         pairs = alignment_all(cfg) if pairs is None else pairs
         channel = generate_channel(cfg, 0)
-        both = sides(Problem(cfg, pairs, channel))
-        _, reduced = _eliminate(both[DECODERS], cfg.d)
+        both = sides(cfg, pairs)
+        _, reduced = _eliminate(both[DECODERS], channel, cfg.d)
         assert reduced.shape == reduced_shape
         rank = full_rank(cfg, pairs, channel)
         assert eliminated_rank(cfg, pairs, channel) == rank
         assert eliminated_rank(cfg, pairs, channel, PRECODERS) == rank
-        shapes = [_eliminate(links, cfg.d)[1].shape for links in both]
-        assert [_plan(links, cfg.d)[1] for links in both] == shapes
+        shapes = [_eliminate(plan, channel, cfg.d)[1].shape for plan in both]
+        assert [plan.shape for plan in both] == shapes
         report = feasibility_check(cfg, pairs, channel)
         assert report.method == method
         if method == "hall_rank":
@@ -960,8 +1033,7 @@ class TestRelations:
             if report.method == "hall_rank":
                 seen["hall_rank"] += 1
                 seen["feasible" if report.feasible else "infeasible"] += 1
-                costs = [svd_cost(_plan(links, cfg.d)[1])
-                         for links in sides(Problem(cfg, pairs, channel))]
+                costs = [svd_cost(plan.shape) for plan in sides(cfg, pairs)]
                 seen["precoder side"] += costs[PRECODERS] < costs[DECODERS]
             seen["proper_fail"] += report.method == "proper_fail"
             seen["partial"] += pairs != alignment_all(cfg)

@@ -245,6 +245,26 @@ class TestGenerateChannel:
         for key, h in ch_base.items():
             np.testing.assert_array_equal(h, ch_ext[key])
 
+    def test_partial_draw_is_the_full_draw_restricted(self):
+        cfg = NetworkConfig(K=3, J=1, M=(2, 3, 4, 2), N=(3, 2, 4), d=(1, 1, 2, 1))
+        full = generate_channel(cfg, 7)
+        for alignment in ([(1, 2)], [(3, 4), (1, 2), (2, 1), (1, 2)], alignment_all(cfg), []):
+            partial = generate_channel(cfg, 7, alignment=alignment)
+            assert list(partial) == list(canonical_alignment(cfg, alignment))
+            for link, h in partial.items():  # bit for bit
+                assert (h.dtype, h.shape, h.tobytes()) == (full[link].dtype, full[link].shape,
+                                                           full[link].tobytes())
+        with pytest.raises(TypeError):
+            generate_channel(cfg, 7, [(1, 2)])  # keyword-only
+
+    @pytest.mark.parametrize("entry, named", [
+        ((1, 1), "(1,1)"), ((4, 2), "(4,2)"), ((1, 5), "(1,5)"), ((1,), "(1,)"), ((1.5, 2), "1.5")],
+        ids=["direct", "receiver", "transmitter", "not-a-pair", "fractional"])
+    def test_bad_alignment_entry_named(self, entry, named):
+        cfg = NetworkConfig(K=3, J=1, M=(2, 3, 4, 2), N=(3, 2, 4), d=(1, 1, 2, 1))
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            generate_channel(cfg, 0, alignment=[(1, 2), entry])
+
     def test_seed_changes_draw(self):
         a = generate_channel(CONFIG_SYM, 0)
         b = generate_channel(CONFIG_SYM, 1)
